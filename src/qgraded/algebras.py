@@ -230,12 +230,6 @@ class AlgebraElement:
             return NotImplemented
         return self.algebra is other.algebra and self.coords == other.coords
 
-    def homogeneous_components(self) -> dict[tuple, "AlgebraElement"]:
-        out: dict[tuple, Vec] = {}
-        for i, c in self.coords.items():
-            out.setdefault(self.algebra.grade(i).coords, {})[i] = c
-        return {g: AlgebraElement(self.algebra, v) for g, v in out.items()}
-
     def __str__(self):
         if not self.coords:
             return "0"

@@ -26,7 +26,6 @@ from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
 
 DEFAULT_MAX_GROUP_ORDER = 256
-DEFAULT_MAX_BETA_N = 4
 
 EXPECT_TOKENS = {
     "strong": ("grading.strong", True),
@@ -47,11 +46,10 @@ class RunConfig:
     report_path: str | None = None
     expect: dict[str, bool] = field(default_factory=dict)
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    max_beta_n: int = DEFAULT_MAX_BETA_N
     verbose: bool = False
 
     def __post_init__(self):
-        if self.max_group_order < 1 or self.max_beta_n < 1:
+        if self.max_group_order < 1:
             raise ValueError("resource caps must be positive")
 
 
@@ -84,8 +82,8 @@ def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
         rows += _rows_from_report(check_cqt_axioms(desc.factor), cfg.expect)
     if desc.algebra is not None:
         algebra = desc.algebra
-        rows += _rows_from_report(algebra.validation_report(), cfg.expect)
-        structural_ok = all(r["passed"] for r in rows[-3:])
+        validation = algebra.validation_report()
+        rows += _rows_from_report(validation, cfg.expect)
         if desc.factor is not None:
             qc = check_quantum_commutativity(algebra, desc.factor)
             witness = None
@@ -95,7 +93,7 @@ def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
                              qc.quantum_commutative,
                              cfg.expect.get("algebra.quantum-commutativity", True),
                              witness))
-        if not structural_ok:
+        if not validation.passed:
             rows.append(_row("grading.strong", False,
                              note="skipped: algebra failed structural validation"))
         elif group.is_finite:
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a JSON report to this path")
         p.add_argument("--max-group-order", type=int,
                        default=DEFAULT_MAX_GROUP_ORDER)
-        p.add_argument("--max-beta-n", type=int, default=DEFAULT_MAX_BETA_N)
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("check", help="run all applicable checks on a descriptor")
@@ -326,7 +323,6 @@ def main(argv=None) -> int:
             report_path=args.report,
             expect=expect,
             max_group_order=args.max_group_order,
-            max_beta_n=args.max_beta_n,
             verbose=args.verbose)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants
 from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
-from .linalg import LinearMap, Vec, rref, vec_add_scaled
+from .linalg import LinearMap, Vec, rref
 from .scalars import Scalar
 
 DEFAULT_MAX_BETA_N = 4
@@ -103,21 +103,23 @@ class RelativeChain:
             raise ValueError("tensor power index must be >= 1")
         if k not in self._spaces:
             A = self.algebra
+            dim = A.dim
             prev = self._prev_dim(k)
-            labels = [(c, j) for c in range(prev) for j in range(A.dim)]
-            index = {lab: i for i, lab in enumerate(labels)}
-            minus_one = Scalar.from_rational(-1)
+            labels = [(c, j) for c in range(prev) for j in range(dim)]
             rows: list[Vec] = []
             for c in range(prev):
                 for x in self.sub:
                     cx = self.right_action(k - 1, c, x)
-                    for y in range(A.dim):
-                        row: Vec = {}
-                        for t, coeff in cx.items():
-                            row[index[(t, y)]] = coeff
+                    for y in range(dim):
+                        row: Vec = {t * dim + y: coeff for t, coeff in cx.items()}
                         for m, coeff in A.product_coords(x, y).items():
-                            row = vec_add_scaled(row, {index[(c, m)]: coeff},
-                                                 minus_one)
+                            pos = c * dim + m
+                            val = row.get(pos)
+                            val = -coeff if val is None else val - coeff
+                            if val.is_zero():
+                                row.pop(pos, None)
+                            else:
+                                row[pos] = val
                         if row:
                             rows.append(row)
             self._spaces[k] = QuotientSpace(labels, rows)
@@ -153,41 +155,8 @@ def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:
 def canonical_map(algebra: GradedAlgebra,
                   chain: RelativeChain | None = None) -> LinearMap:
     """The map class(a (x) b) -> (a (x) 1) * coaction(b), as a matrix over
-    the quotient basis; the grading group must be finite.
-
-    Construction verifies that every balanced relation maps to zero; a
-    nonzero image would indicate a bug, not a property of the input.
-    """
-    if not algebra.group.is_finite:
-        raise InfiniteGroupError("the canonical map requires a finite grading group")
-    chain = chain or RelativeChain(algebra)
-    space = chain.space(1)
-    elements = algebra.group.elements()
-    gindex = {g.coords: t for t, g in enumerate(elements)}
-    cod_labels = [(i, g) for i in range(algebra.dim) for g in elements]
-    nG = len(elements)
-
-    def ambient_image(i: int, j: int) -> Vec:
-        out: Vec = {}
-        gj = gindex[algebra.grade(j).coords]
-        for kk, c in algebra.product_coords(i, j).items():
-            out[kk * nG + gj] = c
-        return out
-
-    for row in space.relations:
-        image: Vec = {}
-        for amb, c in row.items():
-            i, j = space.ambient_labels[amb]
-            image = vec_add_scaled(image, ambient_image(i, j), c)
-        if image:
-            raise InternalConsistencyError(
-                "canonical map is not constant on a balanced relation")
-
-    columns = []
-    for amb in space.basis_ambient:
-        i, j = space.ambient_labels[amb]
-        columns.append(ambient_image(i, j))
-    return LinearMap(space.basis_labels, cod_labels, columns)
+    the quotient basis; this is beta_n at n = 1."""
+    return beta_n(algebra, 1, chain=chain)
 
 
 @dataclass
@@ -218,8 +187,7 @@ def is_galois(algebra: GradedAlgebra,
     (in quotient-representative coordinates keyed by (i, j) ambient
     labels) or a codomain basis vector outside the image.
     """
-    chain = chain or RelativeChain(algebra)
-    beta = canonical_map(algebra, chain)
+    beta = beta_n(algebra, 1, chain=chain)
     r = beta.rank()
     if r == beta.domain_dim == beta.codomain_dim:
         return GaloisReport(True, beta.domain_dim, beta.codomain_dim, r)
@@ -240,11 +208,15 @@ def is_galois(algebra: GradedAlgebra,
 def beta_n(algebra: GradedAlgebra, n: int,
            max_beta_n: int = DEFAULT_MAX_BETA_N,
            chain: RelativeChain | None = None) -> LinearMap:
-    """The n-fold iterate of the canonical map, assembled stepwise.
+    """The n-fold iterate of the canonical map, assembled stepwise; the
+    grading group must be finite.
 
     Domain: the (n+1)-fold relative tensor power, with flattened
     representative tuples as labels.  Codomain: algebra (x) n copies of
-    the group algebra, labeled (i, g_1, ..., g_n).
+    the group algebra, labeled (i, g_1, ..., g_n) at position
+    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n).  Construction verifies
+    that every balanced relation maps to zero; a nonzero image would
+    indicate a bug, not a property of the input.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -252,51 +224,57 @@ def beta_n(algebra: GradedAlgebra, n: int,
         raise CapExceededError(
             f"beta iterate {n} exceeds the configured cap {max_beta_n}")
     if not algebra.group.is_finite:
-        raise InfiniteGroupError("beta iterates require a finite grading group")
+        raise InfiniteGroupError(
+            "the canonical map and its iterates require a finite grading group")
     chain = chain or RelativeChain(algebra)
     elements = algebra.group.elements()
+    nG = len(elements)
     cod_labels = [(i,) + hs
                   for i in range(algebra.dim)
                   for hs in itertools.product(elements, repeat=n)]
-    cod_index = {lab: t for t, lab in enumerate(cod_labels)}
+    gindex = {g.coords: t for t, g in enumerate(elements)}
+    grade_idx = [gindex[algebra.grade(j).coords] for j in range(algebra.dim)]
 
     for k in range(1, n + 1):
-        _verify_step_welldefined(chain, k)
+        _verify_step_welldefined(chain, k, grade_idx, nG)
 
     space_n = chain.space(n)
     columns: list[Vec] = []
     for c in range(space_n.dim):
-        vec: dict[tuple, Scalar] = {(c, ()): Scalar.one()}
+        # after the steps down to T_k, position cls*width + suffix encodes
+        # a T_k class and the grade indices of the n-k slots already split off
+        vec: Vec = {c: Scalar.one()}
+        width = 1
         for k in range(n, 0, -1):
             space = chain.space(k)
-            new: dict[tuple, Scalar] = {}
-            for (cls, hs), coeff in vec.items():
+            new: Vec = {}
+            for pos, coeff in vec.items():
+                cls, suffix = divmod(pos, width)
                 cprev, m = space.basis_labels[cls]
-                gm = algebra.grade(m)
+                tail = grade_idx[m] * width + suffix
                 for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                    key = (t, (gm,) + hs)
+                    key = t * width * nG + tail
                     prev = new.get(key)
                     val = coeff * c2 if prev is None else prev + coeff * c2
                     new[key] = val
             vec = {kk: v for kk, v in new.items() if not v.is_zero()}
-        columns.append({cod_index[(i,) + hs]: v for (i, hs), v in vec.items()})
+            width *= nG
+        columns.append(vec)
     dom_labels = [chain.flat_label(n, c) for c in range(space_n.dim)]
     return LinearMap(dom_labels, cod_labels, columns)
 
 
-def _verify_step_welldefined(chain: RelativeChain, k: int):
+def _verify_step_welldefined(chain: RelativeChain, k: int,
+                             grade_idx: list[int], nG: int):
     """Each balanced relation of T_k must map to zero under the step that
     applies the canonical map to the last two slots."""
-    algebra = chain.algebra
-    space = chain.space(k)
-    index = {lab: i for i, lab in enumerate(space.ambient_labels)}
-    for row in space.relations:
-        image: dict[tuple, Scalar] = {}
+    dim = chain.algebra.dim
+    for row in chain.space(k).relations:
+        image: Vec = {}
         for amb, c in row.items():
-            cprev, m = space.ambient_labels[amb]
-            gm = algebra.grade(m).coords
+            cprev, m = divmod(amb, dim)
             for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                key = (t, gm)
+                key = t * nG + grade_idx[m]
                 prev = image.get(key)
                 val = c * c2 if prev is None else prev + c * c2
                 if val.is_zero():

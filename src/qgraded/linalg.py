@@ -94,9 +94,6 @@ class Echelon:
             self.pivot_rows[p] = row
         self._reduced = True
 
-    def pivots(self) -> list[int]:
-        return sorted(self.pivot_rows)
-
 
 def rref(rows: Iterable[Vec]) -> Echelon:
     """Fully reduced echelon of the given rows."""

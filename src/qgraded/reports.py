@@ -14,14 +14,6 @@ class CheckResult:
     witness: str | None = None
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        out = {"id": self.check_id, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
 
 @dataclass
 class CheckReport:
@@ -41,7 +33,3 @@ class CheckReport:
             if r.check_id == check_id:
                 return r
         raise KeyError(check_id)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [r.to_dict() for r in self.results]}

@@ -166,11 +166,7 @@ class Scalar:
             raise ValueError(f"no embedding of order {n} into order {order}")
         if order == n:
             return self
-        step = order // n
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Scalar._make(order, out)
+        return Scalar._make(order, list(self._raw_embed(order)))
 
     def _raw_embed(self, order: int) -> tuple[Fraction, ...]:
         if order == self.order:
@@ -237,13 +233,7 @@ class Scalar:
         if other.order == 1:
             return other.__mul__(self)
         m, a, b = self._common(other)
-        prod = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar._make(m, prod)
+        return Scalar._make(m, _polymul(a, b))
 
     __rmul__ = __mul__
 
@@ -426,9 +416,6 @@ def format_scalar(s: Scalar) -> str:
         else:
             parts.append((" + " if c > 0 else " - ") + text)
     return "".join(parts)
-
-
-_TOKEN = re.compile(r"\s*(zeta\(|\d+|[-+*/^()])")
 
 
 class _Scanner:

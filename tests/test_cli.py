@@ -4,9 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qgraded.algebras import GradedAlgebra
 from qgraded.cli import main
 from qgraded.corpus import standard_corpus
 from qgraded.descriptors import Descriptor, dump_descriptor
+from qgraded.groups import GradingGroup
+from qgraded.scalars import Scalar
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -61,6 +66,37 @@ def test_check_report_is_byte_deterministic(tmp_path):
     payload = json.loads(r1.read_text())
     assert payload["passed"] is True
     assert any(row["id"] == "equivalence.agreement" for row in payload["checks"])
+
+
+def _broken_truncated_poly(broken: str) -> GradedAlgebra:
+    """k[x]/(x^3) graded by Z_3 with one product entry changed so that
+    structural validation fails on `broken`."""
+    group = GradingGroup(0, (3,))
+    basis = [("1", group.element((0,))), ("x", group.element((1,))),
+             ("x^2", group.element((2,)))]
+    one = Scalar.one()
+    products = {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
+                (1, 0): {1: one}, (2, 0): {2: one}, (1, 1): {2: one}}
+    if broken == "homogeneity":
+        products[(1, 1)] = {1: one}  # x*x lands in grade 1, not 2
+    else:
+        products[(2, 1)] = {0: one}  # (x*x)*x = 1 but x*(x*x) = 0
+    return GradedAlgebra(group, basis, products, {0: one}, validate=False)
+
+
+@pytest.mark.parametrize("broken", ["homogeneity", "associativity"])
+def test_check_skips_verdicts_on_structurally_invalid_algebra(tmp_path, broken):
+    algebra = _broken_truncated_poly(broken)
+    path = tmp_path / f"{broken}.json"
+    path.write_text(dump_descriptor(Descriptor(algebra.group, None, algebra)),
+                    encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--report", str(report)]) == 1
+    rows = {r["id"]: r for r in json.loads(report.read_text())["checks"]}
+    assert rows[f"algebra.{broken}"]["passed"] is False
+    assert rows["grading.strong"]["note"] == \
+        "skipped: algebra failed structural validation"
+    assert "galois.bijective" not in rows
 
 
 def test_generate_check_round_trip(tmp_path):

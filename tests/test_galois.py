@@ -5,7 +5,8 @@ import pytest
 from qgraded.algebras import (build_group_algebra, build_truncated_poly,
                               build_twisted_group_algebra)
 from qgraded.commutation import standard_factor, trivial_factor
-from qgraded.corpus import deleted_product_fixture
+from qgraded.corpus import (_quotient_graded_group_algebra,
+                            deleted_product_fixture)
 from qgraded.errors import CapExceededError, InfiniteGroupError
 from qgraded.galois import (RelativeChain, beta_n, canonical_map,
                             check_equivalence_theorem, is_galois,
@@ -239,7 +240,9 @@ def _beta_n_oracle(algebra, chain, n):
 
 @pytest.mark.parametrize("make", [twisted_z2,
                                   lambda: build_truncated_poly(3),
-                                  lambda: build_group_algebra(GradingGroup(0, (2, 2)))])
+                                  lambda: build_group_algebra(GradingGroup(0, (2, 2))),
+                                  lambda: _quotient_graded_group_algebra(6, 3),
+                                  deleted_product_fixture])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_beta_n_matches_direct_formula(make, n):
     A = make()
