@@ -17,7 +17,7 @@ from .commutation import CommutationFactor
 from .errors import GroupMismatchError, InfiniteGroupError
 from .groups import GradingGroup, GroupElement
 from .group_hopf import TensorElement
-from .linalg import Echelon, Vec, kernel_basis, vec_add_scaled
+from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
 from .reports import CheckReport, CheckResult
 from .scalars import Scalar
 
@@ -140,14 +140,7 @@ class GradedAlgebra:
                 table = products.get(pair_of(m))
                 if table:
                     for kk, x in table.items():
-                        val = cached_mul(c, x)
-                        prev = out.get(kk)
-                        if prev is not None:
-                            val = prev + val
-                        if val.is_zero():
-                            out.pop(kk, None)
-                        else:
-                            out[kk] = val
+                        vec_add_at(out, kk, cached_mul(c, x))
             return out
 
         empty: Vec = {}
@@ -189,14 +182,13 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra,
-                              vec_add_scaled(self.coords, other.coords, Scalar.one()))
+        return AlgebraElement(self.algebra, vec_add_scaled(
+            dict(self.coords), other.coords, Scalar.one()))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.algebra,
-                              vec_add_scaled(self.coords, other.coords,
-                                             Scalar.from_rational(-1)))
+        return AlgebraElement(self.algebra, vec_add_scaled(
+            dict(self.coords), other.coords, Scalar.from_rational(-1)))
 
     def scale(self, c) -> "AlgebraElement":
         c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
@@ -211,7 +203,7 @@ class AlgebraElement:
                 for j, b in other.coords.items():
                     table = self.algebra.products.get((i, j))
                     if table:
-                        out = vec_add_scaled(out, table, a * b)
+                        vec_add_scaled(out, table, a * b)
             return AlgebraElement(self.algebra, out)
         if isinstance(other, (Scalar, int)):
             return self.scale(other)

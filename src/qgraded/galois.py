@@ -16,34 +16,32 @@ from dataclasses import dataclass
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants
 from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
-from .linalg import LinearMap, Vec, rref
+from .linalg import LinearMap, Vec, rref, vec_add_at
 from .scalars import Scalar
 
 DEFAULT_MAX_BETA_N = 4
 
 
 class QuotientSpace:
-    """Quotient of a labeled free vector space by the span of relation rows.
+    """Quotient of the free vector space on positions 0..ambient_dim-1 by
+    the span of relation rows.
 
-    The basis is the set of ambient basis vectors at non-pivot columns of
-    the fully reduced relation span; `project` rewrites any ambient vector
-    in terms of it.
+    In a relative tensor power T_k the ambient position c*dim + j stands
+    for (class c of T_{k-1}) (x) (basis vector j of the algebra).  The
+    basis is the set of ambient positions at non-pivot columns of the
+    fully reduced relation span; `project` rewrites any ambient vector in
+    terms of it.
     """
 
-    def __init__(self, ambient_labels: list, relation_rows: list[Vec]):
-        self.ambient_labels = list(ambient_labels)
+    def __init__(self, ambient_dim: int, relation_rows: list[Vec]):
+        self.ambient_dim = ambient_dim
         self.relations = [r for r in relation_rows if r]
         ech = rref(self.relations)
         self.relation_rank = ech.rank
         self._pivot_rows = ech.pivot_rows
-        self.basis_ambient = [i for i in range(len(self.ambient_labels))
+        self.basis_ambient = [i for i in range(ambient_dim)
                               if i not in self._pivot_rows]
         self._qindex = {amb: q for q, amb in enumerate(self.basis_ambient)}
-        self.basis_labels = [self.ambient_labels[i] for i in self.basis_ambient]
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.ambient_labels)
 
     @property
     def dim(self) -> int:
@@ -55,24 +53,11 @@ class QuotientSpace:
         for a, c in ambient_vec.items():
             prow = self._pivot_rows.get(a)
             if prow is None:
-                q = self._qindex[a]
-                prev = out.get(q)
-                val = c if prev is None else prev + c
-                if val.is_zero():
-                    out.pop(q, None)
-                else:
-                    out[q] = val
+                vec_add_at(out, self._qindex[a], c)
             else:
                 for f, x in prow.items():
-                    if f == a:
-                        continue
-                    q = self._qindex[f]
-                    prev = out.get(q)
-                    val = -(c * x) if prev is None else prev - c * x
-                    if val.is_zero():
-                        out.pop(q, None)
-                    else:
-                        out[q] = val
+                    if f != a:
+                        vec_add_at(out, self._qindex[f], -(c * x))
         return out
 
 
@@ -105,7 +90,6 @@ class RelativeChain:
             A = self.algebra
             dim = A.dim
             prev = self._prev_dim(k)
-            labels = [(c, j) for c in range(prev) for j in range(dim)]
             rows: list[Vec] = []
             for c in range(prev):
                 for x in self.sub:
@@ -113,16 +97,10 @@ class RelativeChain:
                     for y in range(dim):
                         row: Vec = {t * dim + y: coeff for t, coeff in cx.items()}
                         for m, coeff in A.product_coords(x, y).items():
-                            pos = c * dim + m
-                            val = row.get(pos)
-                            val = -coeff if val is None else val - coeff
-                            if val.is_zero():
-                                row.pop(pos, None)
-                            else:
-                                row[pos] = val
+                            vec_add_at(row, c * dim + m, -coeff)
                         if row:
                             rows.append(row)
-            self._spaces[k] = QuotientSpace(labels, rows)
+            self._spaces[k] = QuotientSpace(prev * dim, rows)
         return self._spaces[k]
 
     def right_action(self, k: int, class_idx: int, j: int) -> Vec:
@@ -131,7 +109,7 @@ class RelativeChain:
         if k == 0:
             return A.product_coords(class_idx, j)
         space = self.space(k)
-        cprev, m = space.basis_labels[class_idx]
+        cprev, m = divmod(space.basis_ambient[class_idx], A.dim)
         mj = A.product_coords(m, j)
         if not mj:
             return {}
@@ -142,13 +120,15 @@ class RelativeChain:
         """Representative of a T_k class as a tuple of basis indices."""
         if k == 0:
             return (class_idx,)
-        cprev, m = self.space(k).basis_labels[class_idx]
+        cprev, m = divmod(self.space(k).basis_ambient[class_idx],
+                          self.algebra.dim)
         return self.flat_label(k - 1, cprev) + (m,)
 
 
 def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:
     """The relative tensor square of the algebra over its identity-grade
-    subalgebra, as an explicit quotient with ambient labels (i, j)."""
+    subalgebra, as an explicit quotient whose ambient position i*dim + j
+    stands for basis vector i (x) basis vector j."""
     return RelativeChain(algebra).space(1)
 
 
@@ -188,18 +168,18 @@ def is_galois(algebra: GradedAlgebra,
     labels) or a codomain basis vector outside the image.
     """
     beta = beta_n(algebra, 1, chain=chain)
-    r = beta.rank()
+    image = beta.image_echelon()
+    r = image.rank
     if r == beta.domain_dim == beta.codomain_dim:
         return GaloisReport(True, beta.domain_dim, beta.codomain_dim, r)
     kernel_witness = None
     cokernel_witness = None
-    kernel = beta.kernel()
-    if kernel:
-        best = min(kernel, key=lambda v: (len(v), sorted(v)))
+    if r < beta.domain_dim:
+        best = min(beta.kernel(), key=lambda v: (len(v), sorted(v)))
         kernel_witness = {beta.domain_labels[q]: c for q, c in best.items()}
     if r < beta.codomain_dim:
-        pivots = beta.image_echelon().pivot_rows
-        missing = next(i for i in range(beta.codomain_dim) if i not in pivots)
+        missing = next(i for i in range(beta.codomain_dim)
+                       if i not in image.pivot_rows)
         cokernel_witness = beta.codomain_labels[missing]
     return GaloisReport(False, beta.domain_dim, beta.codomain_dim, r,
                         kernel_witness, cokernel_witness)
@@ -227,13 +207,14 @@ def beta_n(algebra: GradedAlgebra, n: int,
         raise InfiniteGroupError(
             "the canonical map and its iterates require a finite grading group")
     chain = chain or RelativeChain(algebra)
+    dim = algebra.dim
     elements = algebra.group.elements()
     nG = len(elements)
     cod_labels = [(i,) + hs
-                  for i in range(algebra.dim)
+                  for i in range(dim)
                   for hs in itertools.product(elements, repeat=n)]
     gindex = {g.coords: t for t, g in enumerate(elements)}
-    grade_idx = [gindex[algebra.grade(j).coords] for j in range(algebra.dim)]
+    grade_idx = [gindex[algebra.grade(j).coords] for j in range(dim)]
 
     for k in range(1, n + 1):
         _verify_step_welldefined(chain, k, grade_idx, nG)
@@ -250,14 +231,11 @@ def beta_n(algebra: GradedAlgebra, n: int,
             new: Vec = {}
             for pos, coeff in vec.items():
                 cls, suffix = divmod(pos, width)
-                cprev, m = space.basis_labels[cls]
+                cprev, m = divmod(space.basis_ambient[cls], dim)
                 tail = grade_idx[m] * width + suffix
                 for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                    key = t * width * nG + tail
-                    prev = new.get(key)
-                    val = coeff * c2 if prev is None else prev + coeff * c2
-                    new[key] = val
-            vec = {kk: v for kk, v in new.items() if not v.is_zero()}
+                    vec_add_at(new, t * width * nG + tail, coeff * c2)
+            vec = new
             width *= nG
         columns.append(vec)
     dom_labels = [chain.flat_label(n, c) for c in range(space_n.dim)]
@@ -274,13 +252,7 @@ def _verify_step_welldefined(chain: RelativeChain, k: int,
         for amb, c in row.items():
             cprev, m = divmod(amb, dim)
             for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                key = t * nG + grade_idx[m]
-                prev = image.get(key)
-                val = c * c2 if prev is None else prev + c * c2
-                if val.is_zero():
-                    image.pop(key, None)
-                else:
-                    image[key] = val
+                vec_add_at(image, t * nG + grade_idx[m], c * c2)
         if image:
             raise InternalConsistencyError(
                 f"tensor-power step {k} is not constant on a balanced relation")

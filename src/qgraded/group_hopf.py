@@ -12,6 +12,7 @@ from typing import Callable, Iterable
 
 from .errors import GroupMismatchError
 from .groups import GradingGroup, GroupElement
+from .linalg import vec_add_at
 from .reports import CheckReport, CheckResult
 from .scalars import Scalar
 
@@ -31,7 +32,7 @@ class TensorElement:
     def __add__(self, other: "TensorElement") -> "TensorElement":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out.get(k, Scalar.zero()) + v
+            vec_add_at(out, k, v)
         return TensorElement(out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -82,7 +83,7 @@ class GroupAlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for g, c in other.terms.items():
-            out[g] = out.get(g, Scalar.zero()) + c
+            vec_add_at(out, g, c)
         return GroupAlgebraElement(self.group, out)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -100,8 +101,7 @@ class GroupAlgebraElement:
             out: dict[GroupElement, Scalar] = {}
             for g, a in self.terms.items():
                 for h, b in other.terms.items():
-                    gh = g + h
-                    out[gh] = out.get(gh, Scalar.zero()) + a * b
+                    vec_add_at(out, g + h, a * b)
             return GroupAlgebraElement(self.group, out)
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
@@ -155,8 +155,7 @@ def _apply_slot(t: TensorElement, slot: int,
     out: dict[tuple, Scalar] = {}
     for key, c in t.terms.items():
         for piece, d in fn(key[slot]).items():
-            new_key = key[:slot] + piece + key[slot + 1:]
-            out[new_key] = out.get(new_key, Scalar.zero()) + c * d
+            vec_add_at(out, key[:slot] + piece + key[slot + 1:], c * d)
     return TensorElement(out)
 
 
@@ -177,8 +176,7 @@ def _multiply_slots(t: TensorElement, group: GradingGroup) -> GroupAlgebraElemen
     """Collapse a 2-tensor over kG (x) kG by the group law."""
     out: dict[GroupElement, Scalar] = {}
     for (g, h), c in t.terms.items():
-        gh = g + h
-        out[gh] = out.get(gh, Scalar.zero()) + c
+        vec_add_at(out, g + h, c)
     return GroupAlgebraElement(group, out)
 
 
@@ -186,8 +184,7 @@ def _tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     out: dict[tuple, Scalar] = {}
     for (g1, g2), c in a.terms.items():
         for (h1, h2), d in b.terms.items():
-            key = (g1 + h1, g2 + h2)
-            out[key] = out.get(key, Scalar.zero()) + c * d
+            vec_add_at(out, (g1 + h1, g2 + h2), c * d)
     return TensorElement(out)
 
 

@@ -1,43 +1,44 @@
 """Exact sparse linear algebra over scalars.
 
-Vectors are dicts mapping column index to a nonzero Scalar.  Elimination
-keeps a forward echelon (each pivot row normalized, leading at its
-pivot), which decides rank and span membership incrementally; a single
-backward pass (`finalize`) upgrades it to fully reduced form when kernels
-or quotient projections are needed.  Pivots are the smallest columns, so
-every result is deterministic.
+Vectors are dicts mapping column index to a nonzero Scalar.  Every
+accumulation into a sparse vector goes through `vec_add_at`, which works
+in place: it mutates only the dict it is given, and that dict must belong
+to the caller (`vec_add_scaled` likewise mutates and returns `dst`, never
+`src`).  The primitive takes any hashable key, so other modules use it
+for tuple- and group-keyed tensors too.
+
+Elimination keeps a forward echelon (each pivot row normalized, leading
+at its pivot), which decides rank and span membership incrementally; a
+single backward pass (`finalize`) upgrades it to fully reduced form when
+kernels or quotient projections are needed.  Pivots are the smallest
+columns, so every result is deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .scalars import Scalar
 
 Vec = dict[int, Scalar]
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
-
-def vec_scale(v: Vec, c: Scalar) -> Vec:
-    if c.is_zero():
-        return {}
-    return {k: c * x for k, x in v.items()}
+def vec_add_at(dst: dict, key: Hashable, value: Scalar):
+    """dst[key] += value in place, dropping the entry if it cancels."""
+    prev = dst.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        dst.pop(key, None)
+    else:
+        dst[key] = value
 
 
 def vec_add_scaled(dst: Vec, src: Vec, c: Scalar) -> Vec:
-    """dst + c*src as a new dict with zero entries dropped."""
-    out = dict(dst)
+    """dst += c*src in place, zero entries dropped; returns dst."""
     for k, x in src.items():
-        val = out.get(k)
-        val = c * x if val is None else val + c * x
-        if val.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = val
-    return out
+        vec_add_at(dst, k, c * x)
+    return dst
 
 
 class Echelon:
@@ -54,26 +55,26 @@ class Echelon:
     def reduce(self, row: Vec) -> Vec:
         """Forward-eliminate a vector; the residue is zero iff the vector
         lies in the row space."""
-        row = dict(row)
+        row = dict(row)  # the only copy: the argument stays unchanged
         while row:
             lead = min(row)
             prow = self.pivot_rows.get(lead)
             if prow is None:
                 return row
-            row = vec_add_scaled(row, prow, -row[lead])
+            vec_add_scaled(row, prow, -row[lead])
         return row
 
     def contains(self, row: Vec) -> bool:
-        return vec_is_zero(self.reduce(row))
+        return not self.reduce(row)
 
     def add(self, row: Vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         row = self.reduce(row)
-        if vec_is_zero(row):
+        if not row:
             return False
         pivot = min(row)
         inv = row[pivot].inverse()
-        row = vec_scale(row, inv)
+        row = {k: inv * x for k, x in row.items()}
         row[pivot] = Scalar.one()
         self.pivot_rows[pivot] = row
         if len(row) > 1:
@@ -89,26 +90,28 @@ class Echelon:
             row = self.pivot_rows[p]
             for c in sorted(k for k in row if k != p and k in self.pivot_rows):
                 x = row.get(c)
-                if x is not None and not x.is_zero():
-                    row = vec_add_scaled(row, self.pivot_rows[c], -x)
-            self.pivot_rows[p] = row
+                if x is not None:
+                    vec_add_scaled(row, self.pivot_rows[c], -x)
         self._reduced = True
+
+
+def echelon(rows: Iterable[Vec]) -> Echelon:
+    """Forward echelon of the given rows."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech
 
 
 def rref(rows: Iterable[Vec]) -> Echelon:
     """Fully reduced echelon of the given rows."""
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
+    ech = echelon(rows)
     ech.finalize()
     return ech
 
 
 def rank(rows: Iterable[Vec]) -> int:
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank
+    return echelon(rows).rank
 
 
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
@@ -147,7 +150,7 @@ class LinearMap:
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
         for j, c in vec.items():
-            out = vec_add_scaled(out, self.columns[j], c)
+            vec_add_scaled(out, self.columns[j], c)
         return out
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
@@ -164,16 +167,15 @@ class LinearMap:
         return out
 
     def rank(self) -> int:
-        return rank(self.columns)
+        return self.image_echelon().rank
 
     def kernel(self) -> list[Vec]:
         return kernel_basis(self.rows(), self.domain_dim)
 
     def image_echelon(self) -> Echelon:
-        ech = Echelon()
-        for col in self.columns:
-            ech.add(col)
-        return ech
+        """Forward echelon of the columns: its rank is the map's rank and
+        its missing pivots are codomain vectors outside the image."""
+        return echelon(self.columns)
 
     def is_bijective(self) -> bool:
         return (self.domain_dim == self.codomain_dim

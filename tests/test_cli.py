@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -14,6 +15,16 @@ from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# sha256 of the --report bytes of `check` on every corpus file (with
+# --expect not-strong on the entries not expected to be strong) and of
+# `suite corpus`; a change to any of them is a change of verdict,
+# witness or report format and must be deliberate
+DIGESTS = json.loads((Path(__file__).resolve().parent
+                      / "report_digests.json").read_text(encoding="utf-8"))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_entry(tmp_path, name):
@@ -142,12 +153,31 @@ def test_generate_invalid_params_exit_2(tmp_path):
                  "--sigma", "not json", "--omega", "[[0]]", "--q", "1"]) == 2
 
 
-def test_suite_on_shipped_corpus(capsys):
+def test_suite_on_shipped_corpus(tmp_path, capsys):
     assert CORPUS.is_dir(), "shipped corpus directory missing"
-    assert main(["suite", str(CORPUS)]) == 0
+    report = tmp_path / "suite.json"
+    assert main(["suite", str(CORPUS), "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "agree" in out
     assert "ERROR" not in out
+    assert sha256(report) == DIGESTS["suite"]
+
+
+def test_check_reports_match_recorded_digests(tmp_path, capsys, corpus):
+    weak = {e.name for e in corpus if not e.expect_strong}
+    files = sorted(CORPUS.glob("*.json"))
+    assert sorted(p.name for p in files) == sorted(DIGESTS["check"])
+    changed = []
+    for path in files:
+        report = tmp_path / path.name
+        argv = ["check", str(path), "--report", str(report)]
+        if path.stem in weak:
+            argv += ["--expect", "not-strong"]
+        assert main(argv) == 0, path.name
+        if sha256(report) != DIGESTS["check"][path.name]:
+            changed.append(path.name)
+    capsys.readouterr()
+    assert changed == []
 
 
 def test_suite_flags_corrupted_fixture(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from qgraded.galois import (RelativeChain, beta_n, canonical_map,
                             check_equivalence_theorem, is_galois,
                             relative_tensor)
 from qgraded.groups import GradingGroup
-from qgraded.linalg import vec_add_scaled
+from qgraded.linalg import Echelon, vec_add_scaled
 from qgraded.scalars import Scalar, root_of_unity
 
 
@@ -165,6 +166,25 @@ def test_truncated_poly_kernel_witness():
     assert "x (x) x" in report.describe_kernel(P)
 
 
+def test_is_galois_eliminates_beta_once(monkeypatch):
+    # k[x]/(x^4): beta is 16 x 16 of rank < 16, so one column elimination
+    # gives rank and cokernel and one row elimination gives the kernel
+    A = build_truncated_poly(4)
+    chain = RelativeChain(A)
+    chain.space(1)
+    adds = []
+    add = Echelon.add
+
+    def counting_add(self, row):
+        adds.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    report = is_galois(A, chain=chain)
+    assert not report.galois and report.domain_dim == 16
+    assert len(adds) == 32
+
+
 def test_group_algebra_over_itself_is_galois():
     for torsion in ((2,), (4,), (2, 2)):
         report = is_galois(build_group_algebra(GradingGroup(0, torsion)))
@@ -287,6 +307,38 @@ def test_deleted_product_fixture_fails_both_with_matching_witness():
                    for (i, j) in eq.galois.kernel_witness}
     assert pair_grades == {((1,), (1,))}
     assert eq.strong.missing is not None
+
+
+def _twisted_z3x3():
+    G = GradingGroup(0, (3, 3))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
+                        root_of_unity(3))
+    return build_twisted_group_algebra(G, b)
+
+
+def _kz2_on_basis_one_plus_g():
+    # kZ_2 on the basis (1+g, 1): the second product of the identity
+    # component reduces against the first during strong-grading elimination
+    from qgraded.algebras import GradedAlgebra
+    group = GradingGroup(0, ())
+    e = group.identity()
+    two, one = Scalar.from_rational(2), Scalar.one()
+    products = {(0, 0): {0: two}, (0, 1): {0: one}, (1, 0): {0: one},
+                (1, 1): {1: one}}
+    return GradedAlgebra(group, [("1+g", e), ("1", e)], products, {1: one})
+
+
+@pytest.mark.parametrize("make", [deleted_product_fixture, _twisted_z3x3,
+                                  _kz2_on_basis_one_plus_g])
+def test_decisions_leave_the_structure_constants_unchanged(make):
+    # accumulation is in place, so no step may write into A's own dicts
+    A = make()
+    products = copy.deepcopy(A.products)
+    unit = copy.deepcopy(A.unit)
+    check_equivalence_theorem(A)
+    beta_n(A, 2)
+    assert A.products == products
+    assert A.unit == unit
 
 
 def test_well_definedness_on_every_corpus_algebra(corpus):

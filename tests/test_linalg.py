@@ -112,5 +112,18 @@ def test_linear_map_bijectivity():
 
 
 def test_vec_add_scaled_drops_zeros():
-    out = vec_add_scaled(vec(c0=1), vec(c0=1), s(-1))
-    assert out == {}
+    dst = vec(c0=1, c1=2)
+    src = vec(c0=1, c2=3)
+    out = vec_add_scaled(dst, src, s(-1))
+    assert out is dst  # mutated in place and returned
+    assert dst == vec(c1=2, c2=-3)  # the cancelled key is gone
+    assert src == vec(c0=1, c2=3)
+
+
+def test_reduce_leaves_its_argument_unchanged():
+    ech = Echelon()
+    ech.add(vec(c0=1, c1=1))
+    row = vec(c0=2, c1=1, c2=1)
+    residue = ech.reduce(row)
+    assert residue == vec(c1=-1, c2=1)
+    assert row == vec(c0=2, c1=1, c2=1)
