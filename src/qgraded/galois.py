@@ -79,6 +79,9 @@ class RelativeChain:
             raise InternalConsistencyError(
                 "coinvariants disagree with the identity-grade component")
         self._spaces: dict[int, QuotientSpace] = {}
+        # steps k that passed _verify_step_welldefined: T_k, its relations
+        # and the grading are fixed once built, so one check per chain
+        self.verified_steps: set[int] = set()
 
     def _prev_dim(self, k: int) -> int:
         return self.algebra.dim if k == 1 else self.space(k - 1).dim
@@ -115,14 +118,6 @@ class RelativeChain:
             return {}
         amb: Vec = {cprev * A.dim + t: coeff for t, coeff in mj.items()}
         return space.project(amb)
-
-    def flat_label(self, k: int, class_idx: int) -> tuple[int, ...]:
-        """Representative of a T_k class as a tuple of basis indices."""
-        if k == 0:
-            return (class_idx,)
-        cprev, m = divmod(self.space(k).basis_ambient[class_idx],
-                          self.algebra.dim)
-        return self.flat_label(k - 1, cprev) + (m,)
 
 
 def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:
@@ -188,15 +183,21 @@ def is_galois(algebra: GradedAlgebra,
 def beta_n(algebra: GradedAlgebra, n: int,
            max_beta_n: int = DEFAULT_MAX_BETA_N,
            chain: RelativeChain | None = None) -> LinearMap:
-    """The n-fold iterate of the canonical map, assembled stepwise; the
-    grading group must be finite.
+    """The n-fold iterate of the canonical map; the grading group must be
+    finite.
 
     Domain: the (n+1)-fold relative tensor power, with flattened
     representative tuples as labels.  Codomain: algebra (x) n copies of
     the group algebra, labeled (i, g_1, ..., g_n) at position
-    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n).  Construction verifies
-    that every balanced relation maps to zero; a nonzero image would
-    indicate a bug, not a property of the input.
+    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n).
+
+    beta^1, ..., beta^n are built level by level from the identity beta^0:
+    the T_k class at ambient position cprev*dim + m maps to
+    right_action(k-1, cprev, m) pushed through the beta^(k-1) columns, each
+    position p moved to p*|G| + idx(grade(m)), so the right action runs
+    once per class and only the previous level is held.  Each step is first
+    checked (once per chain) to send every balanced relation to zero; a
+    nonzero image would indicate a bug, not a property of the input.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -216,30 +217,24 @@ def beta_n(algebra: GradedAlgebra, n: int,
     gindex = {g.coords: t for t, g in enumerate(elements)}
     grade_idx = [gindex[algebra.grade(j).coords] for j in range(dim)]
 
+    columns: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
+    labels: list[tuple[int, ...]] = [(i,) for i in range(dim)]
     for k in range(1, n + 1):
-        _verify_step_welldefined(chain, k, grade_idx, nG)
-
-    space_n = chain.space(n)
-    columns: list[Vec] = []
-    for c in range(space_n.dim):
-        # after the steps down to T_k, position cls*width + suffix encodes
-        # a T_k class and the grade indices of the n-k slots already split off
-        vec: Vec = {c: Scalar.one()}
-        width = 1
-        for k in range(n, 0, -1):
-            space = chain.space(k)
-            new: Vec = {}
-            for pos, coeff in vec.items():
-                cls, suffix = divmod(pos, width)
-                cprev, m = divmod(space.basis_ambient[cls], dim)
-                tail = grade_idx[m] * width + suffix
-                for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                    vec_add_at(new, t * width * nG + tail, coeff * c2)
-            vec = new
-            width *= nG
-        columns.append(vec)
-    dom_labels = [chain.flat_label(n, c) for c in range(space_n.dim)]
-    return LinearMap(dom_labels, cod_labels, columns)
+        if k not in chain.verified_steps:
+            _verify_step_welldefined(chain, k, grade_idx, nG)
+            chain.verified_steps.add(k)
+        prev_columns, prev_labels = columns, labels
+        columns, labels = [], []
+        for amb in chain.space(k).basis_ambient:
+            cprev, m = divmod(amb, dim)
+            g = grade_idx[m]
+            col: Vec = {}
+            for t, c in chain.right_action(k - 1, cprev, m).items():
+                for p, x in prev_columns[t].items():
+                    vec_add_at(col, p * nG + g, c * x)
+            columns.append(col)
+            labels.append(prev_labels[cprev] + (m,))
+    return LinearMap(labels, cod_labels, columns)
 
 
 def _verify_step_welldefined(chain: RelativeChain, k: int,

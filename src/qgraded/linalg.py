@@ -73,12 +73,17 @@ class Echelon:
         if not row:
             return False
         pivot = min(row)
-        inv = row[pivot].inverse()
-        row = {k: inv * x for k, x in row.items()}
-        row[pivot] = Scalar.one()
-        self.pivot_rows[pivot] = row
-        if len(row) > 1:
+        if len(row) == 1:
+            # a lone entry normalizes to exactly {pivot: 1}, so no inverse is
+            # needed: every column of a monomial map (beta^n of a twisted
+            # group algebra) takes this path
+            row = {pivot: Scalar.one()}
+        else:
+            inv = row[pivot].inverse()
+            row = {k: Scalar.one() if k == pivot else inv * x
+                   for k, x in row.items()}
             self._reduced = False
+        self.pivot_rows[pivot] = row
         return True
 
     def finalize(self):

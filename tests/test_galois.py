@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
-from qgraded.algebras import (build_group_algebra, build_truncated_poly,
+from qgraded import galois
+from qgraded.algebras import (GradedAlgebra, build_group_algebra,
+                              build_truncated_poly,
                               build_twisted_group_algebra)
 from qgraded.commutation import standard_factor, trivial_factor
 from qgraded.corpus import (_quotient_graded_group_algebra,
@@ -21,6 +23,32 @@ def twisted_z2():
     G = GradingGroup(0, (2,))
     b = standard_factor(G, [[0]], [[0]], Scalar.one())
     return build_twisted_group_algebra(G, b)
+
+
+def _twisted_z3x3():
+    G = GradingGroup(0, (3, 3))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
+                        root_of_unity(3))
+    return build_twisted_group_algebra(G, b)
+
+
+def _quotient_graded_in_a_cyclotomic_basis():
+    # kZ_6 over Z_3 on the basis g^i, g^(i+3) + s*g^i (i < 3) with the
+    # non-monomial s = 2 + zeta_3 (1 + zeta_3 = -zeta_3^2 is a monomial):
+    # products, right actions and beta columns get several entries
+    A = _quotient_graded_group_algebra(6, 3)
+    one, s = Scalar.one(), Scalar.cyclotomic(3, [2, 1])
+    to_e = [{a: one} if a < 3 else {a: one, a - 3: s} for a in range(6)]
+    to_f = [{a: one} if a < 3 else {a: one, a - 3: -s} for a in range(6)]
+    products = {}
+    for a, c in itertools.product(range(6), repeat=2):
+        out = {}
+        for (b, x), (d, y) in itertools.product(to_e[a].items(),
+                                                to_e[c].items()):
+            for k, z in A.product_coords(b, d).items():
+                vec_add_scaled(out, to_f[k], x * y * z)
+        products[(a, c)] = out
+    return GradedAlgebra(A.group, A.basis, products, {0: one})
 
 
 # -- relative tensor square --------------------------------------------------
@@ -238,8 +266,11 @@ def _beta_n_oracle(algebra, chain, n):
             cod_index[(i,) + hs] = len(cod_index)
     columns = []
     for c in range(space.dim):
-        path = chain.flat_label(n, c)
-        coeff = Scalar.one()
+        cls, path = c, ()
+        for k in range(n, 0, -1):  # peel off the last slot of a T_k class
+            cls, m = divmod(chain.space(k).basis_ambient[cls], algebra.dim)
+            path = (m,) + path
+        path = (cls,) + path
         vec = {path[0]: Scalar.one()}
         for idx in path[1:]:
             out = {}
@@ -262,13 +293,53 @@ def _beta_n_oracle(algebra, chain, n):
                                   lambda: build_truncated_poly(3),
                                   lambda: build_group_algebra(GradingGroup(0, (2, 2))),
                                   lambda: _quotient_graded_group_algebra(6, 3),
-                                  deleted_product_fixture])
+                                  deleted_product_fixture,
+                                  _twisted_z3x3,
+                                  _quotient_graded_in_a_cyclotomic_basis])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_beta_n_matches_direct_formula(make, n):
     A = make()
     chain = RelativeChain(A)
     bmap = beta_n(A, n, chain=chain)
     assert bmap.columns == _beta_n_oracle(A, chain, n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_group_algebra(GradingGroup(0, (2, 2))),
+    lambda: _quotient_graded_group_algebra(6, 3)])
+def test_beta_n_right_action_runs_once_per_class(make, monkeypatch):
+    # a first call builds T_1..T_3 and verifies every step; the second
+    # only assembles, one right action per class of T_1, T_2 and T_3
+    A = make()
+    chain = RelativeChain(A)
+    beta_n(A, 3, chain=chain)
+    calls = []
+    right_action = RelativeChain.right_action
+
+    def counting(self, k, class_idx, j):
+        calls.append((k, class_idx, j))
+        return right_action(self, k, class_idx, j)
+
+    monkeypatch.setattr(RelativeChain, "right_action", counting)
+    beta_n(A, 3, chain=chain)
+    assert len(calls) == sum(chain.space(k).dim for k in (1, 2, 3))
+
+
+def test_each_step_is_verified_once_per_chain(monkeypatch):
+    A = _quotient_graded_group_algebra(6, 3)
+    chain = RelativeChain(A)
+    steps = []
+    verify = galois._verify_step_welldefined
+
+    def counting(chain, k, grade_idx, nG):
+        steps.append(k)
+        return verify(chain, k, grade_idx, nG)
+
+    monkeypatch.setattr(galois, "_verify_step_welldefined", counting)
+    canonical_map(A, chain)
+    beta_n(A, 2, chain=chain)
+    beta_n(A, 2, chain=chain)
+    assert steps == [1, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -307,13 +378,6 @@ def test_deleted_product_fixture_fails_both_with_matching_witness():
                    for (i, j) in eq.galois.kernel_witness}
     assert pair_grades == {((1,), (1,))}
     assert eq.strong.missing is not None
-
-
-def _twisted_z3x3():
-    G = GradingGroup(0, (3, 3))
-    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
-                        root_of_unity(3))
-    return build_twisted_group_algebra(G, b)
 
 
 def _kz2_on_basis_one_plus_g():

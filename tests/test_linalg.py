@@ -52,6 +52,26 @@ def test_contains_membership():
     assert not ech.contains(vec(c0=1, c2=1))
 
 
+def test_add_stores_a_lone_entry_as_one_without_inverting(monkeypatch):
+    inverses = []
+    inverse = Scalar.inverse
+
+    def counting(self):
+        inverses.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Scalar, "inverse", counting)
+    ech = Echelon()
+    assert ech.add({3: Scalar.cyclotomic(3, [2, 1])})
+    assert ech.pivot_rows == {3: {3: Scalar.one()}}
+    assert inverses == []
+    # several entries: one inverse, and the pivot entry keeps its place
+    assert ech.add({5: s(1), 1: s(2), 4: s(3)})
+    assert list(ech.pivot_rows[1].items()) == [(5, s(Fraction(1, 2))),
+                                               (1, s(1)), (4, s(Fraction(3, 2)))]
+    assert len(inverses) == 1
+
+
 def test_add_reports_rank_growth():
     ech = Echelon()
     assert ech.add(vec(c0=1))

@@ -1,0 +1,38 @@
+import importlib.util
+from pathlib import Path
+
+from qgraded.algebras import build_group_algebra
+from qgraded.corpus import CorpusEntry
+from qgraded.groups import GradingGroup
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_equivalence_suite_reports_a_non_bijective_iterate(monkeypatch, capsys):
+    # the check must not be an assert, which python -O strips
+    suite = _load("run_equivalence_suite")
+    A = build_group_algebra(GradingGroup(0, (2,)))
+    monkeypatch.setattr(suite, "standard_corpus",
+                        lambda: [CorpusEntry("group-algebra-z2", A, None, True)])
+    beta_n = suite.beta_n
+
+    def broken_beta_n(algebra, n, **kw):
+        bmap = beta_n(algebra, n, **kw)
+        if n == 2:
+            bmap.columns[0] = {}
+        return bmap
+
+    monkeypatch.setattr(suite, "beta_n", broken_beta_n)
+    monkeypatch.setattr("sys.argv", ["run_equivalence_suite.py", "--beta", "2"])
+    assert suite.main() == 1
+    out = capsys.readouterr().out
+    assert "FAIL: beta^2 of group-algebra-z2 is not bijective" in out
+    assert "iterates 1..2 bijective" not in out
+    assert "1 non-bijective iterates" in out
