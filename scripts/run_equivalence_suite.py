@@ -20,6 +20,8 @@ def main():
                         help="additionally verify bijectivity of the "
                              "canonical-map iterates up to N")
     args = parser.parse_args()
+    if args.beta < 0:
+        parser.error("--beta N needs N >= 0")
 
     corpus = standard_corpus()
     width = max(len(e.name) for e in corpus)

@@ -18,7 +18,7 @@ from .errors import GroupMismatchError, InfiniteGroupError
 from .groups import GradingGroup, GroupElement
 from .group_hopf import TensorElement
 from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
-from .reports import CheckReport, CheckResult
+from .reports import CheckReport
 from .scalars import Scalar
 
 
@@ -91,36 +91,29 @@ class GradedAlgebra:
         """Associativity, homogeneity and unit laws on all basis tuples."""
         report = CheckReport()
 
-        witness = None
-        for (i, j), result in self.products.items():
-            target = self.grade(i) + self.grade(j)
-            for k in result:
-                if self.grade(k) != target:
-                    witness = (f"{self.label(i)}*{self.label(j)} has a component "
+        def inhomogeneous():
+            for (i, j), result in self.products.items():
+                target = self.grade(i) + self.grade(j)
+                for k in result:
+                    if self.grade(k) != target:
+                        yield (f"{self.label(i)}*{self.label(j)} has a component "
                                f"in grade {self.grade(k)}, expected {target}")
-                    break
-            if witness:
-                break
-        report.results.append(CheckResult(
-            "algebra.homogeneity", witness is None, witness=witness,
-            note="products of homogeneous vectors stay homogeneous"))
 
-        witness = None
-        one = self.one()
-        for i in range(self.dim):
-            e = self.basis_element(i)
-            if one * e != e or e * one != e:
-                witness = f"unit fails on {self.label(i)}"
-                break
-        if witness is None:
+        report.check("algebra.homogeneity", inhomogeneous(),
+                     note="products of homogeneous vectors stay homogeneous")
+
+        def unit_failures():
+            one = self.one()
+            for i in range(self.dim):
+                e = self.basis_element(i)
+                if one * e != e or e * one != e:
+                    yield f"unit fails on {self.label(i)}"
             for i in self.unit:
                 if not self.grade(i).is_identity():
-                    witness = f"unit has a component of grade {self.grade(i)}"
-                    break
-        report.results.append(CheckResult(
-            "algebra.unit", witness is None, witness=witness))
+                    yield f"unit has a component of grade {self.grade(i)}"
 
-        witness = None
+        report.check("algebra.unit", unit_failures())
+
         products = self.products
         # structure constants repeat a handful of values, so memoizing
         # products by canonical form keeps the triple loop near-linear
@@ -143,23 +136,19 @@ class GradedAlgebra:
                         vec_add_at(out, kk, cached_mul(c, x))
             return out
 
-        empty: Vec = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                pij = products.get((i, j), empty)
-                for k in range(self.dim):
-                    lhs = expand(pij, lambda m: (m, k))
-                    rhs = expand(products.get((j, k), empty), lambda m: (i, m))
-                    if lhs != rhs:
-                        witness = (f"({self.label(i)}*{self.label(j)})*{self.label(k)} "
+        def nonassociative():
+            empty: Vec = {}
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    pij = products.get((i, j), empty)
+                    for k in range(self.dim):
+                        lhs = expand(pij, lambda m: (m, k))
+                        rhs = expand(products.get((j, k), empty), lambda m: (i, m))
+                        if lhs != rhs:
+                            yield (f"({self.label(i)}*{self.label(j)})*{self.label(k)} "
                                    f"!= {self.label(i)}*({self.label(j)}*{self.label(k)})")
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report.results.append(CheckResult(
-            "algebra.associativity", witness is None, witness=witness))
+
+        report.check("algebra.associativity", nonassociative())
         return report
 
     def __repr__(self):
@@ -479,12 +468,6 @@ def build_b_symmetric_truncation(b: CommutationFactor,
                 continue
             if any(fermionic[i] and total[i] >= 2 for i in range(N)):
                 continue
-            coeff = Scalar.one()
-            for i in range(N):
-                if a[i]:
-                    for j in range(i):
-                        if c[j]:
-                            coeff = coeff * (b.generator_value(i, j) ** (a[i] * c[j]))
-            products[(ia, ic)] = {index[total]: coeff}
+            products[(ia, ic)] = {index[total]: _crossing_cocycle(b, a, c)}
     return GradedAlgebra(group, basis, products, {index[(0,) * N]: Scalar.one()},
                          name=f"b-symmetric truncation deg<={max_degree}")

@@ -41,7 +41,6 @@ EXPECT_TOKENS = {
 class RunConfig:
     """Validated run parameters for one CLI invocation."""
 
-    command: str
     inputs: list[str] = field(default_factory=list)
     report_path: str | None = None
     expect: dict[str, bool] = field(default_factory=dict)
@@ -156,16 +155,12 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def _parse_matrix(text: str, name: str) -> list[list[int]]:
+def _parse_matrix(text: str, name: str):
+    # factor_from_dict checks that the result is a matrix of integers
     try:
-        m = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{name} is not valid JSON: {exc}")
-    if not (isinstance(m, list) and all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
-            for row in m)):
-        raise ValueError(f"{name} must be a JSON matrix of integers")
-    return m
 
 
 def _build_from_args(args) -> Descriptor:
@@ -268,19 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "commutation-factor symmetry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_report_and_cap(p):
         p.add_argument("--report", dest="report", default=None,
                        help="write a JSON report to this path")
         p.add_argument("--max-group-order", type=int,
                        default=DEFAULT_MAX_GROUP_ORDER)
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("check", help="run all applicable checks on a descriptor")
     p.add_argument("file")
     p.add_argument("--expect", action="append", default=[],
                    choices=sorted(EXPECT_TOKENS),
                    help="assert a verdict instead of requiring it to be true")
-    add_common(p)
+    add_report_and_cap(p)
+    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("generate", help="write a descriptor for a built-in family")
     p.add_argument("builder", choices=["twisted-group-algebra",
@@ -295,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default=None, help="JSON integer matrix")
     p.add_argument("--q", default="1", help="scalar in the canonical grammar")
     p.add_argument("--max-degree", type=int, default=2)
-    add_common(p)
+    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("suite", help="run the equivalence suite over a "
                                      "directory of descriptors")
     p.add_argument("directory")
-    add_common(p)
+    add_report_and_cap(p)
     return parser
 
 
@@ -318,12 +313,12 @@ def main(argv=None) -> int:
             if a in expect and b not in expect:
                 expect[b] = expect[a]
         cfg = RunConfig(
-            command=args.command,
             inputs=[getattr(args, "file", None) or getattr(args, "directory", "")],
-            report_path=args.report,
+            report_path=getattr(args, "report", None),
             expect=expect,
-            max_group_order=args.max_group_order,
-            verbose=args.verbose)
+            max_group_order=getattr(args, "max_group_order",
+                                    DEFAULT_MAX_GROUP_ORDER),
+            verbose=getattr(args, "verbose", False))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,11 @@ def _require(condition: bool, message: str):
         raise DescriptorError(message)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_scalar_field(text, where: str) -> Scalar:
     _require(isinstance(text, str), f"{where}: scalar must be a string")
     try:
@@ -54,9 +59,9 @@ def group_from_dict(d: dict) -> GradingGroup:
     _require(not unknown, f"group descriptor has unknown keys {sorted(unknown)}")
     free_rank = d.get("free_rank", 0)
     torsion = d.get("torsion", [])
-    _require(isinstance(free_rank, int) and free_rank >= 0,
+    _require(_is_int(free_rank) and free_rank >= 0,
              "free_rank must be a nonnegative integer")
-    _require(isinstance(torsion, list) and all(isinstance(n, int) for n in torsion),
+    _require(isinstance(torsion, list) and all(_is_int(n) for n in torsion),
              "torsion must be a list of integers")
     try:
         return GradingGroup(free_rank, tuple(torsion))
@@ -78,7 +83,7 @@ def factor_from_dict(group: GradingGroup, d: dict) -> CommutationFactor:
     for key in ("sigma", "omega"):
         m = d[key]
         _require(isinstance(m, list) and all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            isinstance(row, list) and all(_is_int(x) for x in row)
             for row in m), f"factor.{key} must be a matrix of integers")
     try:
         return CommutationFactor(group, d["sigma"], d["omega"], q)
@@ -108,7 +113,7 @@ def algebra_from_dict(group: GradingGroup, d: dict,
                  f"algebra.basis[{pos}] must have exactly 'label' and 'grade'")
         _require(isinstance(entry["label"], str), f"algebra.basis[{pos}].label must be a string")
         grade = entry["grade"]
-        _require(isinstance(grade, list) and all(isinstance(x, int) for x in grade),
+        _require(isinstance(grade, list) and all(_is_int(x) for x in grade),
                  f"algebra.basis[{pos}].grade must be a list of integers")
         try:
             basis.append((entry["label"], group.element(tuple(grade))))
@@ -117,7 +122,7 @@ def algebra_from_dict(group: GradingGroup, d: dict,
     dim = len(basis)
 
     def check_index(i, where) -> int:
-        _require(isinstance(i, int) and 0 <= i < dim,
+        _require(_is_int(i) and 0 <= i < dim,
                  f"{where}: basis index {i!r} out of range 0..{dim - 1}")
         return i
 
@@ -137,18 +142,19 @@ def algebra_from_dict(group: GradingGroup, d: dict,
         where = f"algebra.products[{pos}]"
         _require(isinstance(entry, dict) and set(entry) == {"left", "right", "result"},
                  f"{where} must have exactly 'left', 'right' and 'result'")
-        i = check_index(entry["left"], where)
-        j = check_index(entry["right"], where)
+        i = check_index(entry["left"], f"{where}.left")
+        j = check_index(entry["right"], f"{where}.right")
         _require((i, j) not in products, f"{where}: duplicate pair ({i}, {j})")
         _require(isinstance(entry["result"], list), f"{where}.result must be a list")
         vec: Vec = {}
         for rpos, term in enumerate(entry["result"]):
             _require(isinstance(term, dict) and set(term) == {"basis", "coeff"},
                      f"{where}.result[{rpos}] must have exactly 'basis' and 'coeff'")
-            k = check_index(term["basis"], f"{where}.result[{rpos}]")
+            k = check_index(term["basis"], f"{where}.result[{rpos}].basis")
             vec[k] = _parse_scalar_field(term["coeff"], f"{where}.result[{rpos}].coeff")
         products[(i, j)] = vec
     name = d.get("name")
+    _require(name is None or isinstance(name, str), "algebra.name must be a string")
     try:
         return GradedAlgebra(group, basis, products, unit,
                              validate=validate, name=name)

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 from .errors import GroupMismatchError
 from .groups import GradingGroup, GroupElement
 from .linalg import vec_add_at
-from .reports import CheckReport, CheckResult
+from .reports import CheckReport
 from .scalars import Scalar
 
 
@@ -218,41 +218,30 @@ def check_hopf_axioms(group: GradingGroup,
     unit = GroupAlgebraElement.unit(group)
     report = CheckReport()
 
-    def run(check_id, pairs_of_sides, note=None):
-        for label, lhs, rhs in pairs_of_sides:
-            if lhs != rhs:
-                report.results.append(CheckResult(check_id, False, witness=label, note=note))
-                return
-        report.results.append(CheckResult(check_id, True, note=note))
-
-    run("hopf.coassociativity",
-        ((str(u), _coproduct_slot(u.coproduct(), 0), _coproduct_slot(u.coproduct(), 1))
-         for u in sample))
-    run("hopf.counit-left",
-        ((str(u), _counit_slot(u.coproduct(), 0),
-          TensorElement({(g,): c for g, c in u.terms.items()}))
-         for u in sample))
-    run("hopf.counit-right",
-        ((str(u), _counit_slot(u.coproduct(), 1),
-          TensorElement({(g,): c for g, c in u.terms.items()}))
-         for u in sample))
-    run("hopf.antipode-left",
-        ((str(u), _multiply_slots(_map_slot(u.coproduct(), 0, S), group),
-          unit.scale(u.counit()))
-         for u in sample))
-    run("hopf.antipode-right",
-        ((str(u), _multiply_slots(_map_slot(u.coproduct(), 1, S), group),
-          unit.scale(u.counit()))
-         for u in sample))
-    run("hopf.coproduct-multiplicative",
-        ((f"{u}, {v}", (u * v).coproduct(),
-          _tensor_product(u.coproduct(), v.coproduct()))
-         for u in sample for v in sample))
-    run("hopf.counit-multiplicative",
-        ((f"{u}, {v}", (u * v).counit(), u.counit() * v.counit())
-         for u in sample for v in sample))
-    run("hopf.unit-counit",
-        [("1", unit.counit(), Scalar.one()),
-         ("1", unit.coproduct(),
-          TensorElement({(group.identity(), group.identity()): Scalar.one()}))])
+    report.check("hopf.coassociativity",
+                 (str(u) for u in sample
+                  if _coproduct_slot(u.coproduct(), 0)
+                  != _coproduct_slot(u.coproduct(), 1)))
+    for slot, side in enumerate(("left", "right")):
+        report.check(f"hopf.counit-{side}",
+                     (str(u) for u in sample
+                      if _counit_slot(u.coproduct(), slot)
+                      != TensorElement({(g,): c for g, c in u.terms.items()})))
+    for slot, side in enumerate(("left", "right")):
+        report.check(f"hopf.antipode-{side}",
+                     (str(u) for u in sample
+                      if _multiply_slots(_map_slot(u.coproduct(), slot, S), group)
+                      != unit.scale(u.counit())))
+    report.check("hopf.coproduct-multiplicative",
+                 (f"{u}, {v}" for u in sample for v in sample
+                  if (u * v).coproduct()
+                  != _tensor_product(u.coproduct(), v.coproduct())))
+    report.check("hopf.counit-multiplicative",
+                 (f"{u}, {v}" for u in sample for v in sample
+                  if (u * v).counit() != u.counit() * v.counit()))
+    unit_tensor = TensorElement({(group.identity(), group.identity()): Scalar.one()})
+    report.check("hopf.unit-counit",
+                 ("1" for lhs, rhs in [(unit.counit(), Scalar.one()),
+                                       (unit.coproduct(), unit_tensor)]
+                  if lhs != rhs))
     return report

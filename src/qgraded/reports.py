@@ -1,8 +1,15 @@
-"""Small result containers shared by the axiom checkers and the CLI."""
+"""Small result containers shared by the axiom checkers and the CLI.
+
+Every named check follows one rule, kept in `CheckReport.check`: it
+passes unless its search yields a failing case, and the first failing
+case, already formatted as a string, is its witness.  The checkers pass
+lazy searches, so a failing check stops at its first witness.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -24,6 +31,14 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
+
+    def check(self, check_id: str, failing_cases: Iterable[str],
+              note: str | None = None) -> None:
+        """Append a result that passes unless `failing_cases` yields a
+        witness; only the first one is drawn."""
+        witness = next(iter(failing_cases), None)
+        self.results.append(CheckResult(check_id, witness is None,
+                                        witness=witness, note=note))
 
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]

@@ -363,3 +363,39 @@ def test_validation_catches_nonassociativity():
                 (2, 1): {0: one}, (2, 2): {2: one}}
     with pytest.raises(ValueError, match="associativity"):
         GradedAlgebra(G, basis, products, {0: one})
+
+
+
+@pytest.mark.parametrize("group,basis,products,unit,witnesses", [
+    # x*x = x leaves grade 0
+    (GradingGroup(0, (2,)), [("1", (0,)), ("x", (1,))],
+     {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, [0],
+     ["x*x has a component in grade (1), expected (0)", None, None]),
+    # 1*x is missing
+    (GradingGroup(0, (2,)), [("1", (0,)), ("x", (1,))],
+     {(0, 0): 0, (1, 0): 1, (1, 1): 0}, [0],
+     [None, "unit fails on x", "(1*x)*x != 1*(x*x)"]),
+    # k x k with e2 put in grade 1: e1 + e2 is a two-sided unit with a
+    # grade-1 part
+    (GradingGroup(0, (2,)), [("e1", (0,)), ("e2", (1,))],
+     {(0, 0): 0, (1, 1): 1}, [0, 1],
+     ["e2*e2 has a component in grade (1), expected (0)",
+      "unit has a component of grade (1)", None]),
+    # several triples fail; (a, a, a) comes first
+    (GradingGroup(0, ()), [("1", ()), ("a", ()), ("b", ())],
+     {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2,
+      (1, 1): 2, (1, 2): 1, (2, 1): 0, (2, 2): 2}, [0],
+     [None, None, "(a*a)*a != a*(a*a)"]),
+])
+def test_validation_report_gives_the_first_witness_of_each_check(
+        group, basis, products, unit, witnesses):
+    one = Scalar.one()
+    algebra = GradedAlgebra(
+        group, [(label, group.element(g)) for label, g in basis],
+        {ij: {k: one} for ij, k in products.items()},
+        {i: one for i in unit}, validate=False)
+    report = algebra.validation_report()
+    assert [r.check_id for r in report.results] == [
+        "algebra.homogeneity", "algebra.unit", "algebra.associativity"]
+    assert [r.witness for r in report.results] == witnesses
+    assert [r.passed for r in report.results] == [w is None for w in witnesses]

@@ -228,3 +228,51 @@ def test_console_entry_point_runs():
 def test_invalid_caps_exit_2(tmp_path):
     path = write_entry(tmp_path, "twisted-z2-trivial")
     assert main(["check", str(path), "--max-group-order", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "truncated-poly", "--report", "r.json"],
+    ["generate", "truncated-poly", "--max-group-order", "0"],
+    ["suite", "corpus", "--verbose"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_generate_rejects_a_boolean_matrix_entry(tmp_path, capsys):
+    assert main(["generate", "twisted-group-algebra", "--n", "2", "--N", "1",
+                 "--sigma", "[[true]]", "--omega", "[[0]]",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert "factor.sigma" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def _set_path(data, path, value):
+    *outer, last = path
+    for key in outer:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("group", "free_rank"), False, "free_rank"),
+    (("group", "torsion", 0), True, "torsion"),
+    (("algebra", "basis", 1, "grade", 0), True, "algebra.basis[1].grade"),
+    (("algebra", "products", 1, "left"), False, "algebra.products[1].left"),
+    (("algebra", "products", 0, "right"), False, "algebra.products[0].right"),
+    (("algebra", "products", 0, "result", 0, "basis"), False,
+     "algebra.products[0].result[0].basis"),
+    (("factor", "sigma", 0, 0), False, "factor.sigma"),
+    (("factor", "omega", 0, 0), False, "factor.omega"),
+    (("algebra", "name"), ["twisted"], "algebra.name"),
+])
+def test_check_rejects_booleans_for_integers_and_non_string_names(
+        tmp_path, capsys, path, value, field):
+    data = json.loads((CORPUS / "twisted-z2-trivial.json").read_text())
+    _set_path(data, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert field in capsys.readouterr().err

@@ -124,7 +124,56 @@ def test_broken_pairing_fails_bimultiplicativity_with_witness():
     report = check_cqt_axioms(b, pairing=broken)
     result = report.result("cqt.bimultiplicative-right")
     assert not result.passed
-    assert result.witness is not None
+    assert result.witness == "((1,1), (0,1), (1,0))"
+    assert report.result("cqt.bimultiplicative-left").witness == \
+        "((0,1), (1,0), (1,1))"
+    assert report.result("cqt.commutation-identity").passed
+    assert report.result("cqt.convolution-invertible").passed
+
+
+def _order_81_factor():
+    omega = [[0, 1, 0, -1], [-1, 0, 2, 0], [0, -2, 0, 1], [1, 0, -1, 0]]
+    sigma = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]
+    return standard_factor(GradingGroup(0, (3, 3, 3, 3)), sigma, omega,
+                           root_of_unity(3))
+
+
+def _z2_factor():
+    return standard_factor(GradingGroup(2), [[0, 1], [1, 0]],
+                           [[0, 1], [-1, 0]], root_of_unity(4))
+
+
+@pytest.mark.parametrize("make", [_z2_factor, _order_81_factor])
+def test_cqt_axioms_pass_on_the_sample_of_a_large_group(make):
+    # infinite or order > 64: the laws run on the identity, generators,
+    # their inverses and doubles (on Z_3^4 the doubles are the inverses)
+    report = check_cqt_axioms(make())
+    assert report.passed, report.failures()
+    assert [r.check_id for r in report.results] == [
+        "cqt.commutation-identity", "cqt.bimultiplicative-right",
+        "cqt.bimultiplicative-left", "cqt.convolution-invertible"]
+
+
+@pytest.mark.parametrize("make,g,h,right,left", [
+    (_z2_factor, (1, 0), (2, 0),
+     "((1,0), (1,0), (1,0))", "((1,0), (1,0), (2,0))"),
+    (_order_81_factor, (0, 1, 0, 0), (2, 0, 0, 0),
+     "((0,1,0,0), (1,0,0,0), (1,0,0,0))", "((1,0,0,0), (0,1,0,0), (2,0,0,0))"),
+])
+def test_broken_pairing_on_the_sample_gives_its_first_witness(make, g, h,
+                                                              right, left):
+    b = make()
+
+    def broken(x, y):
+        if x.coords == g and y.coords == h:
+            return Scalar.from_rational(7)
+        return b.evaluate(x, y)
+
+    report = check_cqt_axioms(b, pairing=broken)
+    assert report.result("cqt.bimultiplicative-right").witness == right
+    assert report.result("cqt.bimultiplicative-left").witness == left
+    assert report.result("cqt.commutation-identity").passed
+    assert report.result("cqt.convolution-invertible").passed
 
 
 def test_cqt_report_documents_commutativity_reduction():

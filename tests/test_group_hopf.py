@@ -62,8 +62,10 @@ def test_corrupted_antipode_is_caught():
     failed = {r.check_id for r in report.failures()}
     assert "hopf.antipode-left" in failed
     assert "hopf.antipode-right" in failed
-    witness = report.result("hopf.antipode-left").witness
-    assert "(1)" in witness or "(3)" in witness
+    # the first failing sample element is the group-like of (1)
+    assert report.result("hopf.antipode-left").witness == "1*[(1)]"
+    assert report.result("hopf.antipode-right").witness == "1*[(1)]"
+    assert len(report.failures()) == 2
 
 
 def test_identity_antipode_is_fine_on_z2():

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from qgraded.algebras import build_group_algebra
 from qgraded.corpus import CorpusEntry
 from qgraded.groups import GradingGroup
@@ -36,3 +38,14 @@ def test_equivalence_suite_reports_a_non_bijective_iterate(monkeypatch, capsys):
     assert "FAIL: beta^2 of group-algebra-z2 is not bijective" in out
     assert "iterates 1..2 bijective" not in out
     assert "1 non-bijective iterates" in out
+
+
+def test_equivalence_suite_rejects_a_negative_depth(monkeypatch, capsys):
+    suite = _load("run_equivalence_suite")
+    monkeypatch.setattr("sys.argv", ["run_equivalence_suite.py", "--beta", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        suite.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--beta" in captured.err
+    assert "bijective" not in captured.out
