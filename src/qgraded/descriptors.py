@@ -132,7 +132,10 @@ def algebra_from_dict(group: GradingGroup, d: dict,
         try:
             idx = int(key)
         except ValueError:
-            raise DescriptorError(f"algebra.unit: key {key!r} is not an index")
+            idx = None
+        # one spelling per index: "00", "+0" or " 0" would alias key "0"
+        _require(idx is not None and key == str(idx),
+                 f"algebra.unit: key {key!r} is not a canonical index")
         check_index(idx, "algebra.unit")
         unit[idx] = _parse_scalar_field(text, f"algebra.unit[{key}]")
 

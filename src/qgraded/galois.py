@@ -3,9 +3,11 @@
 The subalgebra is always the identity-grade component (equivalently the
 coinvariants of the canonical coaction).  The relative tensor product
 over it is realized as an explicit quotient of the plain tensor product
-by the balanced relations, iterated powers are built as quotients of
-quotients, and bijectivity of the canonical map and of its iterates is
-decided by exact rank.
+by the balanced relations, written only for a set of unital-algebra
+generators of the subalgebra (they span the same relation space: a
+relation for x1 and one for x2 give the one for x1*x2), iterated powers
+are built as quotients of quotients, and bijectivity of the canonical
+map and of its iterates is decided by exact rank.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants
 from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
-from .linalg import LinearMap, Vec, rref, vec_add_at
+from .linalg import Echelon, LinearMap, Vec, rref, vec_add_at
 from .scalars import Scalar
 
 DEFAULT_MAX_BETA_N = 4
@@ -24,7 +26,8 @@ DEFAULT_MAX_BETA_N = 4
 
 class QuotientSpace:
     """Quotient of the free vector space on positions 0..ambient_dim-1 by
-    the span of relation rows.
+    the span of relation rows; `relations` keeps the nonzero given rows,
+    a spanning set of the relation space, not necessarily all of it.
 
     In a relative tensor power T_k the ambient position c*dim + j stands
     for (class c of T_{k-1}) (x) (basis vector j of the algebra).  The
@@ -66,8 +69,10 @@ class RelativeChain:
     identity-grade subalgebra, with the right multiplication action.
 
     T_0 is the algebra itself; T_k is (T_{k-1} tensor A) modulo the
-    balanced relations t*x (x) y - t (x) x*y with x running over the
-    subalgebra basis.  Spaces are built on demand and cached.
+    balanced relations t*x (x) y - t (x) x*y with x running over
+    generators of the subalgebra: basis vectors picked greedily, each one
+    skipped when it already lies in the span of words in those picked
+    before it.  Spaces are built on demand and cached.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -78,10 +83,31 @@ class RelativeChain:
         if sorted(i for v in coinv for i in v.coords) != sorted(self.sub):
             raise InternalConsistencyError(
                 "coinvariants disagree with the identity-grade component")
+        self.generators: list[int] = []
+        words = self._words()
+        for x in self.sub:
+            if not words.contains({x: Scalar.one()}):
+                self.generators.append(x)
+                words = self._words()
+        if words.rank != len(self.sub) or any(
+                i not in self.sub for row in words.pivot_rows.values() for i in row):
+            raise InternalConsistencyError(
+                "generators of the identity-grade component do not span it")
         self._spaces: dict[int, QuotientSpace] = {}
         # steps k that passed _verify_step_welldefined: T_k, its relations
         # and the grading are fixed once built, so one check per chain
         self.verified_steps: set[int] = set()
+
+    def _words(self) -> Echelon:
+        """Span of 1 closed under right multiplication by the generators."""
+        A = self.algebra
+        words, todo = Echelon(), [A.unit]
+        while todo:
+            w = todo.pop()
+            if words.add(w):
+                todo += [(A.element(w) * A.basis_element(x)).coords
+                         for x in self.generators]
+        return words
 
     def _prev_dim(self, k: int) -> int:
         return self.algebra.dim if k == 1 else self.space(k - 1).dim
@@ -95,7 +121,7 @@ class RelativeChain:
             prev = self._prev_dim(k)
             rows: list[Vec] = []
             for c in range(prev):
-                for x in self.sub:
+                for x in self.generators:
                     cx = self.right_action(k - 1, c, x)
                     for y in range(dim):
                         row: Vec = {t * dim + y: coeff for t, coeff in cx.items()}

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from qgraded.corpus import standard_corpus
+
+# the same examples on every run: no random seed and no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -276,3 +276,15 @@ def test_check_rejects_booleans_for_integers_and_non_string_names(
     bad.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alias", ["00", "+0", " 0", "0_0"])
+def test_check_rejects_a_unit_key_that_aliases_index_zero(tmp_path, capsys,
+                                                          alias):
+    # int() reads each of these as 0, so the last key would silently win
+    data = json.loads((CORPUS / "twisted-z2-trivial.json").read_text())
+    data["algebra"]["unit"] = {"0": "5", alias: "1"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert "algebra.unit" in capsys.readouterr().err

@@ -2,20 +2,22 @@ import copy
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgraded import galois
 from qgraded.algebras import (GradedAlgebra, build_group_algebra,
                               build_truncated_poly,
-                              build_twisted_group_algebra)
+                              build_twisted_group_algebra,
+                              check_strong_grading)
 from qgraded.commutation import standard_factor, trivial_factor
 from qgraded.corpus import (_quotient_graded_group_algebra,
                             deleted_product_fixture)
 from qgraded.errors import CapExceededError, InfiniteGroupError
-from qgraded.galois import (RelativeChain, beta_n, canonical_map,
-                            check_equivalence_theorem, is_galois,
-                            relative_tensor)
+from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
+                            canonical_map, check_equivalence_theorem,
+                            is_galois, relative_tensor)
 from qgraded.groups import GradingGroup
-from qgraded.linalg import Echelon, vec_add_scaled
+from qgraded.linalg import Echelon, rref, vec_add_scaled
 from qgraded.scalars import Scalar, root_of_unity
 
 
@@ -32,23 +34,57 @@ def _twisted_z3x3():
     return build_twisted_group_algebra(G, b)
 
 
+def _in_basis(A, new):
+    """A on the homogeneous basis new[a], given in A's coordinates."""
+    dim, one = A.dim, Scalar.one()
+    # rref of [new | identity]: the pivot row of A's basis vector k is
+    # k itself, tagged with its coordinates in the new basis
+    ech = rref([{**v, dim + a: one} for a, v in enumerate(new)])
+    to_new = [{col - dim: c for col, c in ech.pivot_rows[k].items() if col >= dim}
+              for k in range(dim)]
+
+    def convert(vec):
+        out = {}
+        for k, c in vec.items():
+            vec_add_scaled(out, to_new[k], c)
+        return out
+
+    products = {}
+    for a, c in itertools.product(range(dim), repeat=2):
+        prod = {}
+        for (b, x), (d, y) in itertools.product(new[a].items(), new[c].items()):
+            vec_add_scaled(prod, A.product_coords(b, d), x * y)
+        products[(a, c)] = convert(prod)
+    basis = [(f"b{a}", A.grade(min(v))) for a, v in enumerate(new)]
+    return GradedAlgebra(A.group, basis, products, convert(A.unit))
+
+
 def _quotient_graded_in_a_cyclotomic_basis():
     # kZ_6 over Z_3 on the basis g^i, g^(i+3) + s*g^i (i < 3) with the
     # non-monomial s = 2 + zeta_3 (1 + zeta_3 = -zeta_3^2 is a monomial):
     # products, right actions and beta columns get several entries
-    A = _quotient_graded_group_algebra(6, 3)
     one, s = Scalar.one(), Scalar.cyclotomic(3, [2, 1])
-    to_e = [{a: one} if a < 3 else {a: one, a - 3: s} for a in range(6)]
-    to_f = [{a: one} if a < 3 else {a: one, a - 3: -s} for a in range(6)]
-    products = {}
-    for a, c in itertools.product(range(6), repeat=2):
-        out = {}
-        for (b, x), (d, y) in itertools.product(to_e[a].items(),
-                                                to_e[c].items()):
-            for k, z in A.product_coords(b, d).items():
-                vec_add_scaled(out, to_f[k], x * y * z)
-        products[(a, c)] = out
-    return GradedAlgebra(A.group, A.basis, products, {0: one})
+    return _in_basis(_quotient_graded_group_algebra(6, 3),
+                     [{a: one} if a < 3 else {a: one, a - 3: s}
+                      for a in range(6)])
+
+
+def _kz6_over_z2_on_a_non_power_basis():
+    # kZ_6 over Z_2 with the identity component on the basis
+    # (g^2 + g^4, 1, g^2): words in g^2 + g^4 span only {1, g^2 + g^4}, so
+    # the greedy choice skips 1 and needs g^2 as a second generator
+    one = Scalar.one()
+    return _in_basis(_quotient_graded_group_algebra(6, 2),
+                     [{2: one, 4: one}, {0: one}, {2: one},
+                      {1: one}, {3: one}, {5: one}])
+
+
+def _truncated_poly_over_z2():
+    # k[x]/(x^4) graded by Z_2 with deg x = 1: two 2-dim components
+    P = build_truncated_poly(4)
+    G = GradingGroup(0, (2,))
+    basis = [(label, G.element((i % 2,))) for i, (label, _) in enumerate(P.basis)]
+    return GradedAlgebra(G, basis, P.products, P.unit)
 
 
 # -- relative tensor square --------------------------------------------------
@@ -117,21 +153,115 @@ def test_projection_kills_exactly_the_relations(corpus):
             assert space.project({amb: Scalar.one()}) == {q: Scalar.one()}
 
 
+def _balanced_pairs(chain, k):
+    """(t*x (x) y, t (x) x*y) in the ambient space of T_k for every class t
+    of T_(k-1), every basis vector x of the subalgebra and every y."""
+    A = chain.algebra
+    prev = A.dim if k == 1 else chain.space(k - 1).dim
+    for c in range(prev):
+        for x in chain.sub:
+            cx = chain.right_action(k - 1, c, x)
+            for y in range(A.dim):
+                yield ({t * A.dim + y: coeff for t, coeff in cx.items()},
+                       {c * A.dim + m: coeff
+                        for m, coeff in A.product_coords(x, y).items()})
+
+
 def test_balanced_law_across_small_corpus_entries(corpus):
+    # rows are stored for the generators only; the law must hold for every
+    # basis vector of the subalgebra, at k = 2 through the right action on T_1
+    small = [e.algebra for e in corpus if e.algebra.dim <= 6]
+    for A in small + [_kz6_over_z2_on_a_non_power_basis()]:
+        chain = RelativeChain(A)
+        for k in (1, 2):
+            space = chain.space(k)
+            for left, right in _balanced_pairs(chain, k):
+                assert space.project(left) == space.project(right), (A.name, k)
+
+
+def _assert_generator_rows_match_basis_rows(A, kmax):
+    # oracle: one row per basis vector of the subalgebra; the rows span the
+    # same space, so the fully reduced echelon must be the same
+    chain = RelativeChain(A)
+    minus_one = Scalar.from_rational(-1)
+    for k in range(1, kmax + 1):
+        space = chain.space(k)
+        oracle = QuotientSpace(space.ambient_dim, [
+            vec_add_scaled(dict(left), right, minus_one)
+            for left, right in _balanced_pairs(chain, k)])
+        assert space.relation_rank == oracle.relation_rank, (A.name, k)
+        assert space.basis_ambient == oracle.basis_ambient, (A.name, k)
+        assert space._pivot_rows == oracle._pivot_rows, (A.name, k)
+    return chain
+
+
+def test_generator_rows_give_the_basis_rows_quotient(corpus):
     for entry in corpus:
-        A = entry.algebra
-        if A.dim > 6:
-            continue
-        space = relative_tensor(A)
-        sub = A.component(A.group.identity())
-        for a in range(A.dim):
-            for x in sub:
-                for y in range(A.dim):
-                    left = {t * A.dim + y: c
-                            for t, c in A.product_coords(a, x).items()}
-                    right = {a * A.dim + m: c
-                             for m, c in A.product_coords(x, y).items()}
-                    assert space.project(left) == space.project(right), entry.name
+        _assert_generator_rows_match_basis_rows(
+            entry.algebra, 2 if entry.algebra.dim <= 6 else 1)
+    _assert_generator_rows_match_basis_rows(
+        _quotient_graded_in_a_cyclotomic_basis(), 2)
+    chain = _assert_generator_rows_match_basis_rows(
+        _kz6_over_z2_on_a_non_power_basis(), 2)
+    assert chain.sub == [0, 1, 2]
+    assert chain.generators == [0, 2]
+
+
+def test_twisted_group_algebras_build_no_relation_rows(monkeypatch):
+    # the identity component is k*1, which needs no generator: T_k is the
+    # plain tensor power and no right action runs while building it
+    calls = []
+    right_action = RelativeChain.right_action
+
+    def counting(self, k, class_idx, j):
+        calls.append((k, class_idx, j))
+        return right_action(self, k, class_idx, j)
+
+    monkeypatch.setattr(RelativeChain, "right_action", counting)
+    G = GradingGroup(0, (2, 2))
+    z2x2 = build_twisted_group_algebra(
+        G, standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
+                           root_of_unity(2)))
+    for A in (z2x2, _twisted_z3x3()):
+        chain = RelativeChain(A)
+        assert chain.generators == []
+        for k in (1, 2):
+            assert chain.space(k).relations == []
+            assert chain.space(k).dim == A.dim ** (k + 1)
+    assert calls == []
+
+
+_CHANGE_OF_BASIS = {
+    "kZ4/Z2": lambda: _quotient_graded_group_algebra(4, 2),
+    "kZ6/Z2": lambda: _quotient_graded_group_algebra(6, 2),
+    "x^4/Z2": _truncated_poly_over_z2,
+}
+
+
+def _basis_invariants(A):
+    chain = RelativeChain(A)
+    report = is_galois(A, chain=chain)
+    return ([(chain.space(k).dim, chain.space(k).relation_rank) for k in (1, 2)],
+            report.rank, check_strong_grading(A).strong, report.galois)
+
+
+@pytest.mark.parametrize("name", sorted(_CHANGE_OF_BASIS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_invariants_survive_a_change_of_basis_in_each_component(name, data):
+    # a unitriangular change of basis (diagonal +-1) inside each component
+    # also moves the unit and the generator choice off the old basis
+    A = _CHANGE_OF_BASIS[name]()
+    entry = st.sampled_from([-2, -1, 1, 2]).map(Scalar.from_rational)
+    sign = st.sampled_from([-1, 1]).map(Scalar.from_rational)
+    new = [None] * A.dim
+    for g in A.grades_present():
+        comp = A.component(g)
+        for i, a in enumerate(comp):
+            new[a] = {a: data.draw(sign)}
+            for b in comp[:i]:
+                new[a][b] = data.draw(entry)
+    assert _basis_invariants(_in_basis(A, new)) == _basis_invariants(A)
 
 
 # -- the canonical map ---------------------------------------------------------
