@@ -66,10 +66,7 @@ class GradedAlgebra:
         return self._components.get(g.coords, [])
 
     def grades_present(self) -> list[GroupElement]:
-        return [self.element_grade_from_coords(c) for c in sorted(self._components)]
-
-    def element_grade_from_coords(self, coords) -> GroupElement:
-        return self.group.element(coords)
+        return [self.group.element(c) for c in sorted(self._components)]
 
     # -- elements -----------------------------------------------------
 
@@ -294,6 +291,21 @@ class StrongGradingReport:
     missing: AlgebraElement | None = None
 
 
+def _product_span(algebra: GradedAlgebra, g: GroupElement, h: GroupElement,
+                  target_dim: int) -> Echelon:
+    """Span of the basis products A_g * A_h, stopped once its rank reaches
+    target_dim = dim A_{g+h}."""
+    span = Echelon()
+    for i in algebra.component(g):
+        for j in algebra.component(h):
+            prod = algebra.product_coords(i, j)
+            if prod:
+                span.add(prod)
+            if span.rank == target_dim:
+                return span
+    return span
+
+
 def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
     """Decide A_g * A_h = A_{gh} for all pairs of grades; finite G only.
 
@@ -308,18 +320,7 @@ def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
             target = algebra.component(g + h)
             if not target:
                 continue
-            span = Echelon()
-            done = False
-            for i in algebra.component(g):
-                for j in algebra.component(h):
-                    prod = algebra.product_coords(i, j)
-                    if prod:
-                        span.add(prod)
-                    if span.rank == len(target):
-                        done = True
-                        break
-                if done:
-                    break
+            span = _product_span(algebra, g, h, len(target))
             if span.rank < len(target):
                 missing = next(
                     algebra.basis_element(k) for k in target
@@ -348,16 +349,9 @@ def strong_grading_window(algebra: GradedAlgebra) -> list[WindowEvidence]:
     for g in grades:
         for h in grades:
             target = algebra.component(g + h)
-            if not target:
-                continue
-            span = Echelon()
-            for i in algebra.component(g):
-                for j in algebra.component(h):
-                    prod = algebra.product_coords(i, j)
-                    if prod:
-                        span.add(prod)
-            spanned = span.rank == len(target)
-            out.append(WindowEvidence(g, h, spanned))
+            if target:
+                span = _product_span(algebra, g, h, len(target))
+                out.append(WindowEvidence(g, h, span.rank == len(target)))
     return out
 
 

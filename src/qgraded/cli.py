@@ -11,17 +11,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebras import (build_b_symmetric_truncation, build_truncated_poly,
                        build_twisted_group_algebra, check_quantum_commutativity,
-                       check_strong_grading, strong_grading_window)
+                       strong_grading_window)
 from .commutation import check_cqt_axioms
 from .descriptors import (Descriptor, dump_descriptor, factor_from_dict,
                           load_descriptor)
-from .errors import CapExceededError, DescriptorError, QgradedError
-from .galois import check_equivalence_theorem, is_galois
+from .errors import (CapExceededError, DescriptorError, InfiniteGroupError,
+                     QgradedError)
+from .galois import check_equivalence_theorem
 from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
 
@@ -35,21 +35,6 @@ EXPECT_TOKENS = {
     "quantum-commutative": ("algebra.quantum-commutativity", True),
     "not-quantum-commutative": ("algebra.quantum-commutativity", False),
 }
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters for one CLI invocation."""
-
-    inputs: list[str] = field(default_factory=list)
-    report_path: str | None = None
-    expect: dict[str, bool] = field(default_factory=dict)
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.max_group_order < 1:
-            raise ValueError("resource caps must be positive")
 
 
 def _row(check_id: str, verdict: bool, expected: bool = True,
@@ -71,18 +56,26 @@ def _rows_from_report(report, expect: dict[str, bool]) -> list[dict]:
     return rows
 
 
-def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
+def _admit(path: str, max_group_order: int) -> Descriptor:
+    """Load a descriptor without validating its algebra and refuse a finite
+    grading group above the cap, so that no check runs on a refused input."""
+    desc = load_descriptor(path, validate_algebra=False)
     group = desc.group
-    if group.is_finite and group.order > cfg.max_group_order:
+    if group.is_finite and group.order > max_group_order:
         raise CapExceededError(
-            f"group order {group.order} exceeds the cap {cfg.max_group_order}")
-    rows = _rows_from_report(check_hopf_axioms(group), cfg.expect)
+            f"group order {group.order} exceeds the cap {max_group_order}")
+    return desc
+
+
+def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
+    group = desc.group
+    rows = _rows_from_report(check_hopf_axioms(group), expect)
     if desc.factor is not None:
-        rows += _rows_from_report(check_cqt_axioms(desc.factor), cfg.expect)
+        rows += _rows_from_report(check_cqt_axioms(desc.factor), expect)
     if desc.algebra is not None:
         algebra = desc.algebra
         validation = algebra.validation_report()
-        rows += _rows_from_report(validation, cfg.expect)
+        rows += _rows_from_report(validation, expect)
         if desc.factor is not None:
             qc = check_quantum_commutativity(algebra, desc.factor)
             witness = None
@@ -90,20 +83,20 @@ def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
                 witness = f"({qc.witness_pair[0]}, {qc.witness_pair[1]})"
             rows.append(_row("algebra.quantum-commutativity",
                              qc.quantum_commutative,
-                             cfg.expect.get("algebra.quantum-commutativity", True),
+                             expect.get("algebra.quantum-commutativity", True),
                              witness))
         if not validation.passed:
             rows.append(_row("grading.strong", False,
                              note="skipped: algebra failed structural validation"))
         elif group.is_finite:
-            strong = check_strong_grading(algebra)
+            eq = check_equivalence_theorem(algebra)
+            strong, galois = eq.strong, eq.galois
             witness = None
             if strong.witness_pair:
                 g, h = strong.witness_pair
                 witness = f"pair ({g}, {h}), missing {strong.missing}"
             rows.append(_row("grading.strong", strong.strong,
-                             cfg.expect.get("grading.strong", True), witness))
-            galois = is_galois(algebra)
+                             expect.get("grading.strong", True), witness))
             witness = None
             if not galois.galois:
                 if galois.kernel_witness is not None:
@@ -111,11 +104,10 @@ def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
                 else:
                     witness = f"cokernel at {galois.cokernel_witness}"
             rows.append(_row("galois.bijective", galois.galois,
-                             cfg.expect.get("galois.bijective", True), witness,
+                             expect.get("galois.bijective", True), witness,
                              note=f"rank {galois.rank} of "
                                   f"{galois.domain_dim} -> {galois.codomain_dim}"))
-            rows.append(_row("equivalence.agreement",
-                             strong.strong == galois.galois,
+            rows.append(_row("equivalence.agreement", eq.agree,
                              note="strong grading and Galois verdicts must coincide"))
         else:
             window = strong_grading_window(algebra)
@@ -127,25 +119,30 @@ def _check_descriptor(desc: Descriptor, cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    path = cfg.inputs[0]
+def cmd_check(args) -> int:
+    expect = dict(EXPECT_TOKENS[token] for token in args.expect)
+    # strong grading and the Galois property must agree, so an
+    # expectation on one side carries over to the other
+    for a, b in (("grading.strong", "galois.bijective"),
+                 ("galois.bijective", "grading.strong")):
+        if a in expect and b not in expect:
+            expect[b] = expect[a]
     try:
-        desc = load_descriptor(path, validate_algebra=False)
+        desc = _admit(args.file, args.max_group_order)
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        rows = _check_descriptor(desc, cfg)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    report = {"input": Path(path).name,
+    rows = _check_descriptor(desc, expect)
+    report = {"input": Path(args.file).name,
               "passed": all(r["passed"] for r in rows),
               "checks": rows}
-    if cfg.report_path:
-        _write_json(cfg.report_path, report)
+    if args.report:
+        _write_json(args.report, report)
     for r in rows:
-        if cfg.verbose or not r["passed"]:
+        if args.verbose or not r["passed"]:
             mark = "PASS" if r["passed"] else "FAIL"
             extra = "" if r["verdict"] == r["expected"] else \
                 f" (verdict {r['verdict']}, expected {r['expected']})"
@@ -186,7 +183,7 @@ def _build_from_args(args) -> Descriptor:
     return Descriptor(group, factor, algebra)
 
 
-def cmd_generate(cfg: RunConfig, args) -> int:
+def cmd_generate(args) -> int:
     try:
         desc = _build_from_args(args)
     except (ValueError, DescriptorError, QgradedError) as exc:
@@ -195,15 +192,15 @@ def cmd_generate(cfg: RunConfig, args) -> int:
     text = dump_descriptor(desc)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        if cfg.verbose:
+        if args.verbose:
             print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_suite(cfg: RunConfig) -> int:
-    directory = Path(cfg.inputs[0])
+def cmd_suite(args) -> int:
+    directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 2
@@ -214,19 +211,20 @@ def cmd_suite(cfg: RunConfig) -> int:
         row = {"file": path.name, "strong": None, "galois": None,
                "agree": None, "error": None}
         try:
-            desc = load_descriptor(str(path))
+            desc = _admit(str(path), args.max_group_order)
             if desc.algebra is None:
                 row["error"] = "no algebra in descriptor"
-            elif (desc.group.is_finite
-                  and desc.group.order > cfg.max_group_order):
-                row["error"] = (f"group order {desc.group.order} exceeds "
-                                f"the cap {cfg.max_group_order}")
+            elif not (validation := desc.algebra.validation_report()).passed:
+                # the text load_descriptor gives for an invalid algebra
+                fail = validation.failures()[0]
+                row["error"] = (f"{path}: algebra descriptor: invalid algebra "
+                                f"({fail.check_id}): {fail.witness}")
             else:
                 eq = check_equivalence_theorem(desc.algebra)
                 row["strong"] = eq.strong.strong
                 row["galois"] = eq.galois.galois
                 row["agree"] = eq.agree
-        except QgradedError as exc:
+        except (DescriptorError, CapExceededError, InfiniteGroupError) as exc:
             row["error"] = str(exc)
         row["seconds"] = round(time.monotonic() - started, 3)
         rows.append(row)
@@ -242,8 +240,8 @@ def cmd_suite(cfg: RunConfig) -> int:
         print(f"{r['file']:<{width}}  {cell(r['strong']):>6}  "
               f"{cell(r['galois']):>6}  {cell(r['agree']):>5}  "
               f"{r['seconds']:>7.3f}" + (f"  ERROR: {r['error']}" if r["error"] else ""))
-    if cfg.report_path:
-        _write_json(cfg.report_path, {
+    if args.report:
+        _write_json(args.report, {
             "rows": [{k: v for k, v in r.items() if k != "seconds"}
                      for r in rows]})
     bad = any(r["error"] is not None or r["agree"] is False for r in rows)
@@ -301,32 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        expect = {}
-        for token in getattr(args, "expect", []):
-            check_id, verdict = EXPECT_TOKENS[token]
-            expect[check_id] = verdict
-        # strong grading and the Galois property must agree, so an
-        # expectation on one side carries over to the other
-        for a, b in (("grading.strong", "galois.bijective"),
-                     ("galois.bijective", "grading.strong")):
-            if a in expect and b not in expect:
-                expect[b] = expect[a]
-        cfg = RunConfig(
-            inputs=[getattr(args, "file", None) or getattr(args, "directory", "")],
-            report_path=getattr(args, "report", None),
-            expect=expect,
-            max_group_order=getattr(args, "max_group_order",
-                                    DEFAULT_MAX_GROUP_ORDER),
-            verbose=getattr(args, "verbose", False))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if getattr(args, "max_group_order", 1) < 1:
+        print("error: resource caps must be positive", file=sys.stderr)
         return 2
     if args.command == "check":
-        return cmd_check(cfg)
+        return cmd_check(args)
     if args.command == "generate":
-        return cmd_generate(cfg, args)
-    return cmd_suite(cfg)
+        return cmd_generate(args)
+    return cmd_suite(args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyErr
 from .linalg import Echelon, LinearMap, Vec, rref, vec_add_at
 from .scalars import Scalar
 
-DEFAULT_MAX_BETA_N = 4
+MAX_BETA_N = 4
 
 
 class QuotientSpace:
@@ -207,7 +207,6 @@ def is_galois(algebra: GradedAlgebra,
 
 
 def beta_n(algebra: GradedAlgebra, n: int,
-           max_beta_n: int = DEFAULT_MAX_BETA_N,
            chain: RelativeChain | None = None) -> LinearMap:
     """The n-fold iterate of the canonical map; the grading group must be
     finite.
@@ -227,9 +226,9 @@ def beta_n(algebra: GradedAlgebra, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_beta_n:
+    if n > MAX_BETA_N:
         raise CapExceededError(
-            f"beta iterate {n} exceeds the configured cap {max_beta_n}")
+            f"beta iterate {n} exceeds the configured cap {MAX_BETA_N}")
     if not algebra.group.is_finite:
         raise InfiniteGroupError(
             "the canonical map and its iterates require a finite grading group")

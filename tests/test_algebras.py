@@ -205,6 +205,15 @@ def test_window_evidence_for_free_grading():
     assert all(w.spanned for w in window)
 
 
+def test_window_evidence_for_a_non_spanned_pair(window_algebra):
+    window = strong_grading_window(window_algebra)
+    assert [(w.g.coords, w.h.coords) for w in window] == [
+        ((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (0,)), ((1,), (1,)),
+        ((2,), (0,))]
+    assert [(w.g.coords, w.h.coords) for w in window if not w.spanned] == \
+        [((1,), (1,))]
+
+
 # -- builders ----------------------------------------------------------------
 
 def test_twisted_builder_with_trivial_factor_is_group_algebra():

@@ -11,6 +11,7 @@ from qgraded.algebras import GradedAlgebra
 from qgraded.cli import main
 from qgraded.corpus import standard_corpus
 from qgraded.descriptors import Descriptor, dump_descriptor
+from qgraded.errors import InternalConsistencyError
 from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar
 
@@ -108,6 +109,44 @@ def test_check_skips_verdicts_on_structurally_invalid_algebra(tmp_path, broken):
     assert rows["grading.strong"]["note"] == \
         "skipped: algebra failed structural validation"
     assert "galois.bijective" not in rows
+
+
+@pytest.mark.parametrize("broken, witness", [
+    ("homogeneity", "x*x has a component in grade (1), expected (2)"),
+    ("associativity", "(x*x)*x != x*(x*x)"),
+])
+def test_suite_reports_a_structurally_invalid_algebra(tmp_path, broken, witness):
+    algebra = _broken_truncated_poly(broken)
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / f"{broken}.json"
+    path.write_text(dump_descriptor(Descriptor(algebra.group, None, algebra)),
+                    encoding="utf-8")
+    report = tmp_path / "suite.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == (f"{path}: algebra descriptor: invalid algebra "
+                            f"(algebra.{broken}): {witness}")
+    assert row["strong"] is row["galois"] is row["agree"] is None
+
+
+def test_free_grading_gets_window_evidence_from_check_and_an_error_from_suite(
+        tmp_path, window_algebra):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "window.json"
+    path.write_text(dump_descriptor(Descriptor(window_algebra.group, None,
+                                               window_algebra)),
+                    encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--report", str(report)]) == 0
+    rows = {r["id"]: r for r in json.loads(report.read_text())["checks"]}
+    assert rows["grading.window-evidence"]["note"] == (
+        "infinite grading group: no verdict; 5/6 grade pairs spanned "
+        "within the truncated basis")
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == "strong-grading decision requires finite G"
 
 
 def test_generate_check_round_trip(tmp_path):
@@ -228,6 +267,45 @@ def test_console_entry_point_runs():
 def test_invalid_caps_exit_2(tmp_path):
     path = write_entry(tmp_path, "twisted-z2-trivial")
     assert main(["check", str(path), "--max-group-order", "0"]) == 2
+    assert main(["suite", str(tmp_path), "--max-group-order", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_group_order_cap_is_applied_before_validation(tmp_path, monkeypatch,
+                                                       capsys, command):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "group-algebra-Z_8.json"
+    shutil.copy(CORPUS / path.name, path)
+    calls = []
+    validation_report = GradedAlgebra.validation_report
+
+    def counted(self):
+        calls.append(self)
+        return validation_report(self)
+
+    monkeypatch.setattr(GradedAlgebra, "validation_report", counted)
+    report = tmp_path / "report.json"
+    target = path if command == "check" else scan
+    code = main([command, str(target), "--max-group-order", "4",
+                 "--report", str(report)])
+    assert calls == []
+    if command == "check":
+        assert code == 3
+        assert "group order 8 exceeds the cap 4" in capsys.readouterr().err
+    else:
+        assert code == 1
+        [row] = json.loads(report.read_text())["rows"]
+        assert row["error"] == "group order 8 exceeds the cap 4"
+
+
+def test_suite_does_not_hide_an_internal_consistency_error(monkeypatch):
+    def broken(algebra):
+        raise InternalConsistencyError("planted")
+
+    monkeypatch.setattr("qgraded.cli.check_equivalence_theorem", broken)
+    with pytest.raises(InternalConsistencyError, match="planted"):
+        main(["suite", str(CORPUS)])
 
 
 @pytest.mark.parametrize("argv", [

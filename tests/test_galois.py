@@ -381,8 +381,6 @@ def test_beta_two_not_bijective_for_truncated_poly():
 def test_beta_cap_is_enforced():
     with pytest.raises(CapExceededError, match="cap 4"):
         beta_n(twisted_z2(), 5)
-    with pytest.raises(CapExceededError, match="cap 2"):
-        beta_n(twisted_z2(), 3, max_beta_n=2)
 
 
 def _beta_n_oracle(algebra, chain, n):

@@ -49,3 +49,18 @@ def test_equivalence_suite_rejects_a_negative_depth(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "--beta" in captured.err
     assert "bijective" not in captured.out
+
+
+def test_equivalence_suite_refuses_a_depth_above_the_cap(monkeypatch, capsys):
+    suite = _load("run_equivalence_suite")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built something before checking the cap")
+
+    monkeypatch.setattr(suite, "standard_corpus", unreachable)
+    monkeypatch.setattr(suite, "beta_n", unreachable)
+    monkeypatch.setattr("sys.argv", ["run_equivalence_suite.py", "--beta", "5"])
+    assert suite.main() == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: beta iterate 5 exceeds the configured cap 4\n"
+    assert captured.out == ""
