@@ -19,8 +19,7 @@ from .algebras import (build_b_symmetric_truncation, build_truncated_poly,
 from .commutation import check_cqt_axioms
 from .descriptors import (Descriptor, dump_descriptor, factor_from_dict,
                           load_descriptor)
-from .errors import (CapExceededError, DescriptorError, InfiniteGroupError,
-                     QgradedError)
+from .errors import CapExceededError, DescriptorError, InfiniteGroupError
 from .galois import check_equivalence_theorem
 from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
@@ -186,7 +185,8 @@ def _build_from_args(args) -> Descriptor:
 def cmd_generate(args) -> int:
     try:
         desc = _build_from_args(args)
-    except (ValueError, DescriptorError, QgradedError) as exc:
+    except ValueError as exc:
+        # input errors are ValueErrors; an InternalConsistencyError must propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = dump_descriptor(desc)

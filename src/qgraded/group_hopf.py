@@ -1,13 +1,16 @@
 """The group algebra kG as a Hopf algebra.
 
-Basis elements are the group elements (group-likes); the coproduct,
-counit and antipode are g -> g (x) g, g -> 1 and g -> g^{-1}, extended
-linearly.  Axioms are verified by evaluation on finite samples, which
-determines them on all of kG by linearity.
+A `TensorElement` is a sparse combination of tuples of group elements,
+and kG is its rank-1 case, keyed by (g,); the product adds keys slot by
+slot, so it is the convolution in kG and the product in kG (x) kG.  The
+coproduct, counit and antipode are g -> g (x) g, g -> 1 and g -> g^{-1},
+extended linearly.  Axioms are verified by evaluation on finite samples,
+which determines them on all of kG by linearity.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Iterable
 
 from .errors import GroupMismatchError
@@ -17,29 +20,50 @@ from .reports import CheckReport
 from .scalars import Scalar
 
 
-def _clean(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if not v.is_zero()}
-
-
 class TensorElement:
     """Finitely supported tensor with tuple keys and exact coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[tuple, Scalar] | None = None):
-        self.terms = _clean(terms or {})
+        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+
+    def _check(self, other: "TensorElement"):
+        """Raise unless `other` can be combined with self; any tensor can."""
+
+    def _like(self, terms: dict[tuple, Scalar]) -> "TensorElement":
+        """An element of the same space as self with the given terms."""
+        return TensorElement(terms)
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             vec_add_at(out, k, v)
-        return TensorElement(out)
+        return self._like(out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scale(Scalar.from_rational(-1))
 
-    def scale(self, c: Scalar) -> "TensorElement":
-        return TensorElement({k: c * v for k, v in self.terms.items()})
+    def scale(self, c) -> "TensorElement":
+        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        # keys add slot by slot: the group law extended to each tensor factor
+        if isinstance(other, TensorElement):
+            self._check(other)
+            out: dict[tuple, Scalar] = {}
+            for k1, a in self.terms.items():
+                for k2, b in other.terms.items():
+                    vec_add_at(out, tuple(map(add, k1, k2)), a * b)
+            return self._like(out)
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    # scalars and the (abelian) group law commute
+    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -57,64 +81,35 @@ class TensorElement:
         return " + ".join(bits)
 
 
-class GroupAlgebraElement:
-    """Finitely supported k-linear combination of group elements."""
+class GroupAlgebraElement(TensorElement):
+    """Finitely supported k-linear combination of group elements: a rank-1
+    tensor keyed by 1-tuples (g,) over one grading group."""
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("group",)
 
     def __init__(self, group: GradingGroup,
-                 terms: dict[GroupElement, Scalar] | None = None):
+                 terms: dict[tuple[GroupElement], Scalar] | None = None):
         self.group = group
-        self.terms = _clean(terms or {})
+        super().__init__(terms)
 
     @classmethod
     def group_like(cls, g: GroupElement) -> "GroupAlgebraElement":
-        return cls(g.group, {g: Scalar.one()})
+        return cls(g.group, {(g,): Scalar.one()})
 
     @classmethod
     def unit(cls, group: GradingGroup) -> "GroupAlgebraElement":
-        return cls(group, {group.identity(): Scalar.one()})
+        return cls(group, {(group.identity(),): Scalar.one()})
 
-    def _check(self, other: "GroupAlgebraElement"):
-        if self.group != other.group:
+    def _check(self, other: TensorElement):
+        if getattr(other, "group", None) != self.group:
             raise GroupMismatchError("group algebra elements over different groups")
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            vec_add_at(out, g, c)
-        return GroupAlgebraElement(self.group, out)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(Scalar.from_rational(-1))
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        return GroupAlgebraElement(
-            self.group, {g: c * v for g, v in self.terms.items()})
-
-    def __mul__(self, other):
-        # convolution product extending the group law
-        if isinstance(other, GroupAlgebraElement):
-            self._check(other)
-            out: dict[GroupElement, Scalar] = {}
-            for g, a in self.terms.items():
-                for h, b in other.terms.items():
-                    vec_add_at(out, g + h, a * b)
-            return GroupAlgebraElement(self.group, out)
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _like(self, terms: dict[tuple, Scalar]) -> "GroupAlgebraElement":
+        return GroupAlgebraElement(self.group, terms)
 
     def coproduct(self) -> TensorElement:
         """Linear extension of g -> g (x) g."""
-        return TensorElement({(g, g): c for g, c in self.terms.items()})
+        return TensorElement({(g, g): c for (g,), c in self.terms.items()})
 
     def counit(self) -> Scalar:
         """Linear extension of g -> 1."""
@@ -125,22 +120,20 @@ class GroupAlgebraElement:
 
     def antipode(self) -> "GroupAlgebraElement":
         """Linear extension of g -> g^{-1}."""
-        return GroupAlgebraElement(self.group, {-g: c for g, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({(-g,): c for (g,), c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.group == other.group and self.terms == other.terms
+        # elements over different groups differ, even when both are zero
+        if isinstance(other, GroupAlgebraElement) and self.group != other.group:
+            return False
+        return super().__eq__(other)
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
-        for g in sorted(self.terms, key=lambda g: g.coords):
-            bits.append(f"{self.terms[g]}*[{g}]")
+        for (g,), c in sorted(self.terms.items(), key=lambda kv: kv[0][0].coords):
+            bits.append(f"{c}*[{g}]")
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -159,33 +152,12 @@ def _apply_slot(t: TensorElement, slot: int,
     return TensorElement(out)
 
 
-def _coproduct_slot(t: TensorElement, slot: int) -> TensorElement:
-    return _apply_slot(t, slot, lambda g: {(g, g): Scalar.one()})
-
-
-def _counit_slot(t: TensorElement, slot: int) -> TensorElement:
-    return _apply_slot(t, slot, lambda g: {(): Scalar.one()})
-
-
-def _map_slot(t: TensorElement, slot: int,
-              fn: Callable[[GroupElement], GroupElement]) -> TensorElement:
-    return _apply_slot(t, slot, lambda g: {(fn(g),): Scalar.one()})
-
-
 def _multiply_slots(t: TensorElement, group: GradingGroup) -> GroupAlgebraElement:
     """Collapse a 2-tensor over kG (x) kG by the group law."""
-    out: dict[GroupElement, Scalar] = {}
-    for (g, h), c in t.terms.items():
-        vec_add_at(out, g + h, c)
-    return GroupAlgebraElement(group, out)
-
-
-def _tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     out: dict[tuple, Scalar] = {}
-    for (g1, g2), c in a.terms.items():
-        for (h1, h2), d in b.terms.items():
-            vec_add_at(out, (g1 + h1, g2 + h2), c * d)
-    return TensorElement(out)
+    for (g, h), c in t.terms.items():
+        vec_add_at(out, (g + h,), c)
+    return GroupAlgebraElement(group, out)
 
 
 def default_sample(group: GradingGroup) -> list[GroupAlgebraElement]:
@@ -215,33 +187,35 @@ def check_hopf_axioms(group: GradingGroup,
     if not sample:
         raise ValueError("sample must be nonempty")
     S = antipode or (lambda g: -g)
+    one = Scalar.one()
     unit = GroupAlgebraElement.unit(group)
     report = CheckReport()
 
     report.check("hopf.coassociativity",
                  (str(u) for u in sample
-                  if _coproduct_slot(u.coproduct(), 0)
-                  != _coproduct_slot(u.coproduct(), 1)))
+                  if _apply_slot(u.coproduct(), 0, lambda g: {(g, g): one})
+                  != _apply_slot(u.coproduct(), 1, lambda g: {(g, g): one})))
     for slot, side in enumerate(("left", "right")):
         report.check(f"hopf.counit-{side}",
                      (str(u) for u in sample
-                      if _counit_slot(u.coproduct(), slot)
-                      != TensorElement({(g,): c for g, c in u.terms.items()})))
+                      if _apply_slot(u.coproduct(), slot, lambda g: {(): one})
+                      != u))
     for slot, side in enumerate(("left", "right")):
         report.check(f"hopf.antipode-{side}",
                      (str(u) for u in sample
-                      if _multiply_slots(_map_slot(u.coproduct(), slot, S), group)
+                      if _multiply_slots(_apply_slot(u.coproduct(), slot,
+                                                     lambda g: {(S(g),): one}),
+                                         group)
                       != unit.scale(u.counit())))
     report.check("hopf.coproduct-multiplicative",
                  (f"{u}, {v}" for u in sample for v in sample
-                  if (u * v).coproduct()
-                  != _tensor_product(u.coproduct(), v.coproduct())))
+                  if (u * v).coproduct() != u.coproduct() * v.coproduct()))
     report.check("hopf.counit-multiplicative",
                  (f"{u}, {v}" for u in sample for v in sample
                   if (u * v).counit() != u.counit() * v.counit()))
-    unit_tensor = TensorElement({(group.identity(), group.identity()): Scalar.one()})
+    unit_tensor = TensorElement({(group.identity(), group.identity()): one})
     report.check("hopf.unit-counit",
-                 ("1" for lhs, rhs in [(unit.counit(), Scalar.one()),
+                 ("1" for lhs, rhs in [(unit.counit(), one),
                                        (unit.coproduct(), unit_tensor)]
                   if lhs != rhs))
     return report

@@ -152,18 +152,6 @@ class LinearMap:
     def codomain_dim(self) -> int:
         return len(self.codomain_labels)
 
-    def apply(self, vec: Vec) -> Vec:
-        out: Vec = {}
-        for j, c in vec.items():
-            vec_add_scaled(out, self.columns[j], c)
-        return out
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        """self o inner."""
-        assert inner.codomain_dim == self.domain_dim
-        cols = [self.apply(col) for col in inner.columns]
-        return LinearMap(inner.domain_labels, self.codomain_labels, cols)
-
     def rows(self) -> list[Vec]:
         out: list[Vec] = [{} for _ in range(self.codomain_dim)]
         for j, col in enumerate(self.columns):
@@ -185,6 +173,3 @@ class LinearMap:
     def is_bijective(self) -> bool:
         return (self.domain_dim == self.codomain_dim
                 and self.rank() == self.domain_dim)
-
-    def equal_matrix(self, other: "LinearMap") -> bool:
-        return self.columns == other.columns

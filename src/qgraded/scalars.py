@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ScalarParseError
+from .errors import InternalConsistencyError, ScalarParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,21 +48,6 @@ def _mobius(n: int) -> int:
     return result
 
 
-def _polydiv_int(num: list[int], den: list[int]) -> list[int]:
-    # exact division by a monic integer polynomial; remainder must vanish
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num[:dd]), "non-exact polynomial division"
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending powers, monic, exact integers."""
@@ -71,7 +56,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n):
         if d < n:
-            poly = _polydiv_int(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _polydivmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise InternalConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
 
@@ -345,13 +332,14 @@ def _polydivmod(num, den):
     while dd > 0 and den[dd] == 0:
         dd -= 1
     lead = den[dd]
-    quot = [_ZERO] * max(len(num) - dd, 1)
+    # by a monic divisor nothing is divided, so integer inputs stay integers
+    quot = [lead * 0] * max(len(num) - dd, 1)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
+        c = num[i] if lead == 1 else num[i] / lead
         if c:
             quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
+            for k, dj in zip(range(i - dd, i + 1), den):
+                num[k] -= c * dj
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return quot, num

@@ -308,6 +308,15 @@ def test_suite_does_not_hide_an_internal_consistency_error(monkeypatch):
         main(["suite", str(CORPUS)])
 
 
+def test_generate_does_not_hide_an_internal_consistency_error(monkeypatch):
+    def broken(m):
+        raise InternalConsistencyError("planted")
+
+    monkeypatch.setattr("qgraded.cli.build_truncated_poly", broken)
+    with pytest.raises(InternalConsistencyError, match="planted"):
+        main(["generate", "truncated-poly"])
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "truncated-poly", "--report", "r.json"],
     ["generate", "truncated-poly", "--max-group-order", "0"],

@@ -364,7 +364,7 @@ def test_beta_one_equals_canonical_map():
         chain = RelativeChain(A)
         direct = canonical_map(A, chain)
         iterated = beta_n(A, 1, chain=chain)
-        assert iterated.equal_matrix(direct)
+        assert iterated.columns == direct.columns
         assert iterated.codomain_labels == direct.codomain_labels
 
 

@@ -1,8 +1,10 @@
+import operator
+
 import pytest
 
 from qgraded.errors import GroupMismatchError
 from qgraded.group_hopf import (GroupAlgebraElement, TensorElement,
-                                check_hopf_axioms)
+                                check_hopf_axioms, default_sample)
 from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar
 
@@ -37,8 +39,22 @@ def test_convolution_product():
 
 
 def test_mismatched_groups_error():
-    with pytest.raises(GroupMismatchError):
-        like(GradingGroup(0, (2,)), (1,)) * like(GradingGroup(0, (3,)), (1,))
+    u, v = like(GradingGroup(0, (2,)), (1,)), like(GradingGroup(0, (3,)), (1,))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(GroupMismatchError):
+            op(u, v)
+
+
+def test_zero_elements_over_different_groups_differ():
+    zero2 = GroupAlgebraElement(GradingGroup(0, (2,)))
+    zero3 = GroupAlgebraElement(GradingGroup(0, (3,)))
+    assert zero2.is_zero() and zero3.is_zero()
+    assert zero2 != zero3
+    assert zero2 == GroupAlgebraElement(GradingGroup(0, (2,)))
+
+
+def test_witness_text_of_the_mixed_sample_element():
+    assert str(default_sample(GradingGroup(0, (3,)))[-1]) == "1*[(0)] + 2*[(1)] + 3*[(2)]"
 
 
 @pytest.mark.parametrize("torsion", [(2,), (3,), (2, 2), (4,), (6,)])
@@ -82,6 +98,15 @@ def test_coproduct_is_multiplicative_on_group_likes():
             lhs = (u * v).coproduct()
             gh = g + h
             assert lhs == TensorElement({(gh, gh): Scalar.one()})
+
+
+def test_coproduct_is_multiplicative_on_mixed_elements():
+    G = GradingGroup(0, (4,))
+    sample = [like(G, (1,)).scale(3) - like(G, (2,)),
+              like(G, (0,)) + like(G, (3,)).scale(2) + like(G, (1,))]
+    for u in sample:
+        for v in sample:
+            assert (u * v).coproduct() == u.coproduct() * v.coproduct()
 
 
 def test_antipode_is_an_antihomomorphism():

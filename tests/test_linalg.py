@@ -111,16 +111,6 @@ def test_rank_agrees_with_dense_fraction_elimination(raw):
             assert total.is_zero()
 
 
-def test_linear_map_compose_and_apply():
-    f = LinearMap(["a", "b"], ["p", "q", "r"],
-                  [vec(c0=1, c2=1), vec(c1=1)])
-    g = LinearMap(["u"], ["a", "b"], [vec(c0=2, c1=3)])
-    fg = f.compose(g)
-    assert fg.domain_labels == ["u"]
-    assert fg.codomain_labels == ["p", "q", "r"]
-    assert fg.columns[0] == {0: s(2), 1: s(3), 2: s(2)}
-
-
 def test_linear_map_bijectivity():
     good = LinearMap([0, 1], [0, 1], [vec(c1=1), vec(c0=2)])
     assert good.is_bijective()

@@ -32,6 +32,21 @@ def test_root_of_unity_order_relation():
     assert root_of_unity(8) ** 8 == 1
 
 
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1(n):
+    product = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = cyclotomic_polynomial(d)
+            assert phi[-1] == 1 and all(type(c) is int for c in phi)
+            out = [0] * (len(product) + len(phi) - 1)
+            for i, a in enumerate(product):
+                for j, b in enumerate(phi):
+                    out[i + j] += a * b
+            product = out
+    assert product == [-1] + [0] * (n - 1) + [1]
+
+
 def _pdeg(p):
     d = len(p) - 1
     while d > 0 and p[d] == 0:

@@ -7,11 +7,12 @@ from qgraded.algebras import build_group_algebra
 from qgraded.corpus import CorpusEntry
 from qgraded.groups import GradingGroup
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -64,3 +65,15 @@ def test_equivalence_suite_refuses_a_depth_above_the_cap(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: beta iterate 5 exceeds the configured cap 4\n"
     assert captured.out == ""
+
+
+def test_perfbench_tracer_wraps_and_restores_every_entry_point():
+    # a deletion that drops a traced entry point must fail here, not only
+    # print "not traced" in a benchmark run
+    import qgraded.cli  # noqa: F401  (the traced modules must be loaded)
+    tracer = _load("tracing", ROOT / "perfbench").Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        assert tracer.remove() == []
