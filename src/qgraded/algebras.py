@@ -3,7 +3,9 @@
 A GradedAlgebra is a basis of labeled, homogeneous vectors together with
 a product table.  The grading carries the canonical kG-coaction
 a -> a (x) g on a grade-g vector; coinvariants, quantum commutativity
-and strong grading are decided by exact elimination.  Builders produce
+and strong grading are decided by exact elimination.  `multiply` is the
+one product through the structure constants: elements multiply through
+it, and the checks call it on coordinate vectors.  Builders produce
 the example families used throughout: twisted group algebras, truncated
 polynomial rings, and truncations of free b-commutative algebras.
 """
@@ -70,9 +72,6 @@ class GradedAlgebra:
 
     # -- elements -----------------------------------------------------
 
-    def element(self, coords: Vec) -> "AlgebraElement":
-        return AlgebraElement(self, coords)
-
     def basis_element(self, i: int) -> "AlgebraElement":
         return AlgebraElement(self, {i: Scalar.one()})
 
@@ -81,6 +80,17 @@ class GradedAlgebra:
 
     def product_coords(self, i: int, j: int) -> Vec:
         return self.products.get((i, j), {})
+
+    def multiply(self, u: Vec, v: Vec) -> Vec:
+        """Product of two coordinate vectors: the bilinear expansion
+        sum of u_i*v_j*products[(i, j)]."""
+        out: Vec = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                table = self.products.get((i, j))
+                if table:
+                    vec_add_scaled(out, table, a * b)
+        return out
 
     # -- validation ---------------------------------------------------
 
@@ -100,10 +110,9 @@ class GradedAlgebra:
                      note="products of homogeneous vectors stay homogeneous")
 
         def unit_failures():
-            one = self.one()
             for i in range(self.dim):
-                e = self.basis_element(i)
-                if one * e != e or e * one != e:
+                e = {i: Scalar.one()}
+                if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
                     yield f"unit fails on {self.label(i)}"
             for i in self.unit:
                 if not self.grade(i).is_identity():
@@ -153,60 +162,38 @@ class GradedAlgebra:
         return f"<{tag}: dim {self.dim} over {self.group}>"
 
 
-class AlgebraElement:
-    """Element of a GradedAlgebra as a sparse coordinate vector."""
+class AlgebraElement(TensorElement):
+    """Element of a GradedAlgebra: a sparse vector keyed by basis index,
+    multiplied through the algebra's structure constants."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: GradedAlgebra, coords: Vec):
         self.algebra = algebra
-        self.coords = {i: c for i, c in coords.items() if not c.is_zero()}
+        super().__init__(coords)
 
-    def _check(self, other: "AlgebraElement"):
-        if self.algebra is not other.algebra:
+    @property
+    def coords(self) -> Vec:
+        return self.terms
+
+    def _check(self, other: TensorElement):
+        if getattr(other, "algebra", None) is not self.algebra:
             raise GroupMismatchError("elements of different algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.algebra, vec_add_scaled(
-            dict(self.coords), other.coords, Scalar.one()))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.algebra, vec_add_scaled(
-            dict(self.coords), other.coords, Scalar.from_rational(-1)))
-
-    def scale(self, c) -> "AlgebraElement":
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        return AlgebraElement(self.algebra,
-                              {i: c * v for i, v in self.coords.items()})
+    def _like(self, terms: Vec) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, terms)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            out: Vec = {}
-            for i, a in self.coords.items():
-                for j, b in other.coords.items():
-                    table = self.algebra.products.get((i, j))
-                    if table:
-                        vec_add_scaled(out, table, a * b)
-            return AlgebraElement(self.algebra, out)
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return not self.coords
+            return self._like(self.algebra.multiply(self.terms, other.terms))
+        return super().__mul__(other)
 
     def __eq__(self, other):
+        # elements of different algebras differ, even when both are zero
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra is other.algebra and self.coords == other.coords
+        return self.algebra is other.algebra and self.terms == other.terms
 
     def __str__(self):
         if not self.coords:
@@ -272,10 +259,10 @@ def check_quantum_commutativity(algebra: GradedAlgebra,
         gi = algebra.grade(i)
         for j in range(algebra.dim):
             gj = algebra.grade(j)
-            lhs = algebra.basis_element(i) * algebra.basis_element(j)
-            rhs = (algebra.basis_element(j) * algebra.basis_element(i)).scale(
-                b.evaluate(gi, gj))
-            if lhs != rhs:
+            # b(g_i, g_j) is nonzero, so scaling drops no entry
+            c = b.evaluate(gi, gj)
+            if algebra.product_coords(i, j) != {
+                    k: c * x for k, x in algebra.product_coords(j, i).items()}:
                 return QCReport(False, (algebra.label(i), algebra.label(j)),
                                 (gi, gj))
     return QCReport(True)

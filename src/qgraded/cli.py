@@ -56,13 +56,18 @@ def _rows_from_report(report, expect: dict[str, bool]) -> list[dict]:
 
 
 def _admit(path: str, max_group_order: int) -> Descriptor:
-    """Load a descriptor without validating its algebra and refuse a finite
-    grading group above the cap, so that no check runs on a refused input."""
+    """Load a descriptor without validating its algebra and refuse a grading
+    group above the cap, so that no check runs on a refused input; a group
+    of order <= cap has at most floor(log2 cap) generators (moduli are >= 2)."""
     desc = load_descriptor(path, validate_algebra=False)
     group = desc.group
     if group.is_finite and group.order > max_group_order:
         raise CapExceededError(
             f"group order {group.order} exceeds the cap {max_group_order}")
+    if group.ngens >= max_group_order.bit_length():
+        raise CapExceededError(
+            f"{group.ngens} group generators exceed the "
+            f"{max_group_order.bit_length() - 1} allowed by the cap {max_group_order}")
     return desc
 
 

@@ -94,9 +94,6 @@ class RelativeChain:
             raise InternalConsistencyError(
                 "generators of the identity-grade component do not span it")
         self._spaces: dict[int, QuotientSpace] = {}
-        # steps k that passed _verify_step_welldefined: T_k, its relations
-        # and the grading are fixed once built, so one check per chain
-        self.verified_steps: set[int] = set()
 
     def _words(self) -> Echelon:
         """Span of 1 closed under right multiplication by the generators."""
@@ -105,12 +102,8 @@ class RelativeChain:
         while todo:
             w = todo.pop()
             if words.add(w):
-                todo += [(A.element(w) * A.basis_element(x)).coords
-                         for x in self.generators]
+                todo += [A.multiply(w, {x: Scalar.one()}) for x in self.generators]
         return words
-
-    def _prev_dim(self, k: int) -> int:
-        return self.algebra.dim if k == 1 else self.space(k - 1).dim
 
     def space(self, k: int) -> QuotientSpace:
         if k < 1:
@@ -118,7 +111,7 @@ class RelativeChain:
         if k not in self._spaces:
             A = self.algebra
             dim = A.dim
-            prev = self._prev_dim(k)
+            prev = dim if k == 1 else self.space(k - 1).dim
             rows: list[Vec] = []
             for c in range(prev):
                 for x in self.generators:
@@ -129,8 +122,27 @@ class RelativeChain:
                             vec_add_at(row, c * dim + m, -coeff)
                         if row:
                             rows.append(row)
-            self._spaces[k] = QuotientSpace(prev * dim, rows)
+            space = QuotientSpace(prev * dim, rows)
+            self._verify_step(k, space)
+            self._spaces[k] = space
         return self._spaces[k]
+
+    def _verify_step(self, k: int, space: QuotientSpace):
+        """Each balanced relation of T_k must map to zero under the step
+        that applies the canonical map to the last two slots; a nonzero
+        image would indicate a bug, not a property of the input."""
+        A = self.algebra
+        grades = {g.coords: t for t, g in enumerate(A.grades_present())}
+        grade_id = [grades[A.grade(m).coords] for m in range(A.dim)]
+        for row in space.relations:
+            image: Vec = {}
+            for amb, c in row.items():
+                cprev, m = divmod(amb, A.dim)
+                for t, c2 in self.right_action(k - 1, cprev, m).items():
+                    vec_add_at(image, t * len(grades) + grade_id[m], c * c2)
+            if image:
+                raise InternalConsistencyError(
+                    f"tensor-power step {k} is not constant on a balanced relation")
 
     def right_action(self, k: int, class_idx: int, j: int) -> Vec:
         """Right multiplication by basis vector j on the last tensor slot."""
@@ -220,9 +232,8 @@ def beta_n(algebra: GradedAlgebra, n: int,
     the T_k class at ambient position cprev*dim + m maps to
     right_action(k-1, cprev, m) pushed through the beta^(k-1) columns, each
     position p moved to p*|G| + idx(grade(m)), so the right action runs
-    once per class and only the previous level is held.  Each step is first
-    checked (once per chain) to send every balanced relation to zero; a
-    nonzero image would indicate a bug, not a property of the input.
+    once per class and only the previous level is held.  Each step was
+    checked to send every balanced relation to zero when its T_k was built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -245,9 +256,6 @@ def beta_n(algebra: GradedAlgebra, n: int,
     columns: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
     labels: list[tuple[int, ...]] = [(i,) for i in range(dim)]
     for k in range(1, n + 1):
-        if k not in chain.verified_steps:
-            _verify_step_welldefined(chain, k, grade_idx, nG)
-            chain.verified_steps.add(k)
         prev_columns, prev_labels = columns, labels
         columns, labels = [], []
         for amb in chain.space(k).basis_ambient:
@@ -260,22 +268,6 @@ def beta_n(algebra: GradedAlgebra, n: int,
             columns.append(col)
             labels.append(prev_labels[cprev] + (m,))
     return LinearMap(labels, cod_labels, columns)
-
-
-def _verify_step_welldefined(chain: RelativeChain, k: int,
-                             grade_idx: list[int], nG: int):
-    """Each balanced relation of T_k must map to zero under the step that
-    applies the canonical map to the last two slots."""
-    dim = chain.algebra.dim
-    for row in chain.space(k).relations:
-        image: Vec = {}
-        for amb, c in row.items():
-            cprev, m = divmod(amb, dim)
-            for t, c2 in chain.right_action(k - 1, cprev, m).items():
-                vec_add_at(image, t * nG + grade_idx[m], c * c2)
-        if image:
-            raise InternalConsistencyError(
-                f"tensor-power step {k} is not constant on a balanced relation")
 
 
 @dataclass

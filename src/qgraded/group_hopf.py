@@ -21,7 +21,10 @@ from .scalars import Scalar
 
 
 class TensorElement:
-    """Finitely supported tensor with tuple keys and exact coefficients."""
+    """Finitely supported tensor with exact coefficients.  Construction,
+    `+`, `-`, `scale`, scalar `*`, `is_zero` and `==` work for any hashable
+    key; `*` of two tensors adds tuple keys slot by slot, and a subclass
+    keyed otherwise overrides it with its own product."""
 
     __slots__ = ("terms",)
 

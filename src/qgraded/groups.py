@@ -39,17 +39,8 @@ class GradingGroup:
             out *= n
         return out
 
-    def _reduce(self, coords) -> tuple[int, ...]:
-        coords = tuple(coords)
-        if len(coords) != self.ngens:
-            raise ValueError(
-                f"expected {self.ngens} coordinates, got {len(coords)}")
-        r = self.free_rank
-        return coords[:r] + tuple(
-            c % n for c, n in zip(coords[r:], self.torsion))
-
     def element(self, coords) -> "GroupElement":
-        return GroupElement(self, self._reduce(coords))
+        return GroupElement(self, coords)
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ngens)
@@ -82,7 +73,13 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", self.group._reduce(self.coords))
+        group, coords = self.group, tuple(self.coords)
+        if len(coords) != group.ngens:
+            raise ValueError(
+                f"expected {group.ngens} coordinates, got {len(coords)}")
+        r = group.free_rank
+        object.__setattr__(self, "coords", coords[:r] + tuple(
+            c % n for c, n in zip(coords[r:], group.torsion)))
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:

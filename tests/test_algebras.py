@@ -1,14 +1,17 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraded.algebras import (GradedAlgebra, build_b_symmetric_truncation,
+from qgraded.algebras import (AlgebraElement, GradedAlgebra,
+                              build_b_symmetric_truncation,
                               build_group_algebra, build_truncated_poly,
                               build_twisted_group_algebra,
                               check_quantum_commutativity,
                               check_strong_grading, coaction, coinvariants,
                               strong_grading_window)
 from qgraded.commutation import standard_factor, trivial_factor
-from qgraded.errors import InfiniteGroupError
+from qgraded.errors import GroupMismatchError, InfiniteGroupError
 from qgraded.group_hopf import TensorElement
 from qgraded.groups import GradingGroup
 from qgraded.linalg import Echelon
@@ -40,6 +43,33 @@ def test_twisted_z2_square_is_one():
     A, _ = z2_fermionic_twisted()
     u = A.basis_element(1)
     assert u * u == A.one()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_elements_of_different_algebras_do_not_combine(op):
+    x, y = build_truncated_poly(2).basis_element(1), build_truncated_poly(2).one()
+    with pytest.raises(GroupMismatchError, match="different algebras"):
+        op(x, y)
+
+
+def test_zero_elements_of_different_algebras_differ():
+    A, B = build_truncated_poly(2), build_truncated_poly(2)
+    assert AlgebraElement(A, {}) == A.one().scale(0)
+    assert AlgebraElement(A, {}) != AlgebraElement(B, {})
+
+
+def test_scalar_multiples_and_differences():
+    A, _ = z2_fermionic_twisted()
+    x = A.one() + A.basis_element(1).scale(3)
+    assert 2 * x == x * 2 == x.scale(2) == x + x
+    assert (x - x).is_zero()
+    assert not x.is_zero()
+
+
+def test_element_text():
+    P = build_truncated_poly(3)
+    assert str(P.one() + P.basis_element(1).scale(2)) == "1*1 + 2*x"
+    assert str(AlgebraElement(P, {})) == "0"
 
 
 # -- coaction ---------------------------------------------------------------

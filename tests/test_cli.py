@@ -299,6 +299,39 @@ def test_group_order_cap_is_applied_before_validation(tmp_path, monkeypatch,
         assert row["error"] == "group order 8 exceeds the cap 4"
 
 
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_group_order_cap_bounds_the_generator_count(tmp_path, monkeypatch,
+                                                    capsys, command):
+    # Z^400 would run the Hopf sample of 801 group-likes pairwise
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "free-rank-400.json"
+    path.write_text('{"group": {"free_rank": 400}}', encoding="utf-8")
+
+    def refused(group):
+        raise AssertionError("a check ran on a refused descriptor")
+
+    monkeypatch.setattr("qgraded.cli.check_hopf_axioms", refused)
+    report = tmp_path / "report.json"
+    target = path if command == "check" else scan
+    code = main([command, str(target), "--report", str(report)])
+    text = "400 group generators exceed the 8 allowed by the cap 256"
+    if command == "check":
+        assert code == 3
+        assert text in capsys.readouterr().err
+    else:
+        assert code == 1
+        [row] = json.loads(report.read_text())["rows"]
+        assert row["error"] == text
+
+
+@pytest.mark.parametrize("rank, code", [(2, 0), (3, 3)])
+def test_a_group_of_order_4_has_at_most_two_generators(tmp_path, rank, code):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"group": {"free_rank": rank}}), encoding="utf-8")
+    assert main(["check", str(path), "--max-group-order", "4"]) == code
+
+
 def test_suite_does_not_hide_an_internal_consistency_error(monkeypatch):
     def broken(algebra):
         raise InternalConsistencyError("planted")

@@ -1,18 +1,20 @@
 import copy
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraded import galois
-from qgraded.algebras import (GradedAlgebra, build_group_algebra,
-                              build_truncated_poly,
+from qgraded.algebras import (AlgebraElement, GradedAlgebra,
+                              build_group_algebra, build_truncated_poly,
                               build_twisted_group_algebra,
                               check_strong_grading)
 from qgraded.commutation import standard_factor, trivial_factor
+from qgraded.cli import main
 from qgraded.corpus import (_quotient_graded_group_algebra,
                             deleted_product_fixture)
-from qgraded.errors import CapExceededError, InfiniteGroupError
+from qgraded.errors import (CapExceededError, InfiniteGroupError,
+                            InternalConsistencyError)
 from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
                             canonical_map, check_equivalence_theorem,
                             is_galois, relative_tensor)
@@ -77,6 +79,20 @@ def _kz6_over_z2_on_a_non_power_basis():
     return _in_basis(_quotient_graded_group_algebra(6, 2),
                      [{2: one, 4: one}, {0: one}, {2: one},
                       {1: one}, {3: one}, {5: one}])
+
+
+def test_multiply_is_the_bilinear_expansion_of_basis_products():
+    A = _kz6_over_z2_on_a_non_power_basis()
+    assert any(len(v) > 1 for v in A.products.values())
+    u = {0: Scalar.from_rational(2), 1: Scalar.one(), 3: Scalar.cyclotomic(3, [2, 1])}
+    v = {0: Scalar.one(), 2: Scalar.from_rational(-3), 4: Scalar.one()}
+    expected = AlgebraElement(A, {})
+    for i, a in u.items():
+        for j, b in v.items():
+            expected = expected + (A.basis_element(i) * A.basis_element(j)).scale(a * b)
+    assert not expected.is_zero()
+    assert A.multiply(u, v) == expected.coords
+    assert AlgebraElement(A, u) * AlgebraElement(A, v) == expected
 
 
 def _truncated_poly_over_z2():
@@ -457,17 +473,33 @@ def test_each_step_is_verified_once_per_chain(monkeypatch):
     A = _quotient_graded_group_algebra(6, 3)
     chain = RelativeChain(A)
     steps = []
-    verify = galois._verify_step_welldefined
+    verify = RelativeChain._verify_step
 
-    def counting(chain, k, grade_idx, nG):
+    def counting(self, k, space):
         steps.append(k)
-        return verify(chain, k, grade_idx, nG)
+        return verify(self, k, space)
 
-    monkeypatch.setattr(galois, "_verify_step_welldefined", counting)
+    monkeypatch.setattr(RelativeChain, "_verify_step", counting)
     canonical_map(A, chain)
     beta_n(A, 2, chain=chain)
     beta_n(A, 2, chain=chain)
     assert steps == [1, 2]
+
+
+def test_a_step_that_is_not_constant_on_a_relation_is_never_hidden(monkeypatch):
+    # T_1 also lists the row u_e (x) u_e, which the step sends to the
+    # nonzero u_e (x) e: the check raises where T_1 is built
+    init = QuotientSpace.__init__
+
+    def planted(self, ambient_dim, relation_rows):
+        init(self, ambient_dim, relation_rows + [{0: Scalar.one()}])
+
+    monkeypatch.setattr(QuotientSpace, "__init__", planted)
+    with pytest.raises(InternalConsistencyError, match="step 1 "):
+        is_galois(twisted_z2())
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    with pytest.raises(InternalConsistencyError, match="step 1 "):
+        main(["check", str(corpus / "twisted-z2-trivial.json")])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
