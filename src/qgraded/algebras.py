@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .commutation import CommutationFactor
+from .commutation import CommutationFactor, trivial_factor
 from .errors import GroupMismatchError, InfiniteGroupError
 from .groups import GradingGroup, GroupElement
 from .group_hopf import TensorElement
 from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
-from .reports import CheckReport
+from .reports import CheckReport, combination_text
 from .scalars import Scalar
 
 
@@ -196,12 +196,8 @@ class AlgebraElement(TensorElement):
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __str__(self):
-        if not self.coords:
-            return "0"
-        bits = []
-        for i in sorted(self.coords):
-            bits.append(f"{self.coords[i]}*{self.algebra.label(i)}")
-        return " + ".join(bits)
+        return combination_text((self.coords[i], self.algebra.label(i))
+                                for i in sorted(self.coords))
 
     __repr__ = __str__
 
@@ -385,24 +381,20 @@ def build_twisted_group_algebra(group: GradingGroup,
 
 def build_group_algebra(group: GradingGroup) -> GradedAlgebra:
     """kG graded over itself (the twisted algebra with trivial twist)."""
-    from .commutation import trivial_factor
     return build_twisted_group_algebra(group, trivial_factor(group))
 
 
 def build_truncated_poly(m: int) -> GradedAlgebra:
-    """k[x]/(x^m) graded by Z_m with deg x = 1; graded but never strong."""
+    """k[x]/(x^m) graded by Z_m with deg x = 1; graded but never strong.
+
+    It is the b-symmetric algebra of one boson (trivial factor on Z_m)
+    truncated above degree m - 1."""
     if m < 2:
         raise ValueError("truncation order must be >= 2")
-    group = GradingGroup(0, (m,))
-    basis = [("1" if i == 0 else ("x" if i == 1 else f"x^{i}"),
-              group.element((i,))) for i in range(m)]
-    products: dict[tuple[int, int], Vec] = {}
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                products[(i, j)] = {i + j: Scalar.one()}
-    return GradedAlgebra(group, basis, products, {0: Scalar.one()},
-                         name=f"k[x]/(x^{m})")
+    algebra = build_b_symmetric_truncation(
+        trivial_factor(GradingGroup(0, (m,))), m - 1)
+    algebra.name = f"k[x]/(x^{m})"
+    return algebra
 
 
 def _monomial_label(names: list[str], exponents: tuple[int, ...]) -> str:

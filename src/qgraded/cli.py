@@ -58,17 +58,23 @@ def _rows_from_report(report, expect: dict[str, bool]) -> list[dict]:
 def _admit(path: str, max_group_order: int) -> Descriptor:
     """Load a descriptor without validating its algebra and refuse a grading
     group above the cap, so that no check runs on a refused input; a group
-    of order <= cap has at most floor(log2 cap) generators (moduli are >= 2)."""
+    of order <= cap has at most floor(log2 cap) generators (moduli are >= 2),
+    so that bound is applied before any order is multiplied out."""
     desc = load_descriptor(path, validate_algebra=False)
     group = desc.group
-    if group.is_finite and group.order > max_group_order:
-        raise CapExceededError(
-            f"group order {group.order} exceeds the cap {max_group_order}")
     if group.ngens >= max_group_order.bit_length():
         raise CapExceededError(
-            f"{group.ngens} group generators exceed the "
+            f"{_count(group.ngens)} group generators exceed the "
             f"{max_group_order.bit_length() - 1} allowed by the cap {max_group_order}")
+    if group.is_finite and group.order > max_group_order:
+        raise CapExceededError(
+            f"group order {_count(group.order)} exceeds the cap {max_group_order}")
     return desc
+
+
+def _count(n: int) -> str:
+    # Python refuses to print integers of more than a few thousand digits
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:

@@ -55,26 +55,17 @@ def _twisted_parameter_grid() -> list[tuple[str, int, int, list, list, str]]:
 
 
 def _quotient_graded_group_algebra(m: int, d: int) -> GradedAlgebra:
-    """kZ_m graded by Z_d via reduction mod d (d | m); components have
-    dimension m/d, so the balanced tensor relations are nontrivial."""
+    """kZ_m graded by Z_d via reduction mod d (d | m), or by the trivial
+    group when d = 1; components have dimension m/d, so the balanced
+    tensor relations are nontrivial."""
     assert m % d == 0
-    group = GradingGroup(0, (d,))
-    basis = [(f"g^{i}", group.element((i % d,))) for i in range(m)]
+    group = GradingGroup(0, (d,) if d > 1 else ())
+    basis = [(f"g^{i}", group.element((i,) * group.ngens)) for i in range(m)]
     products = {(i, j): {(i + j) % m: Scalar.one()}
                 for i in range(m) for j in range(m)}
+    over = f"Z_{d}" if d > 1 else "the trivial group"
     return GradedAlgebra(group, basis, products, {0: Scalar.one()},
-                         name=f"kZ_{m} over Z_{d}")
-
-
-def _trivially_graded_group_algebra(m: int) -> GradedAlgebra:
-    """kZ_m with every element in the identity grade of the trivial group."""
-    group = GradingGroup(0, ())
-    e = group.identity()
-    basis = [(f"g^{i}", e) for i in range(m)]
-    products = {(i, j): {(i + j) % m: Scalar.one()}
-                for i in range(m) for j in range(m)}
-    return GradedAlgebra(group, basis, products, {0: Scalar.one()},
-                         name=f"kZ_{m} over the trivial group")
+                         name=f"kZ_{m} over {over}")
 
 
 def deleted_product_fixture() -> GradedAlgebra:
@@ -116,7 +107,7 @@ def standard_corpus() -> list[CorpusEntry]:
             build_group_algebra(group), trivial_factor(group), True))
 
     entries.append(CorpusEntry(
-        "trivially-graded-kZ2", _trivially_graded_group_algebra(2), None, True))
+        "trivially-graded-kZ2", _quotient_graded_group_algebra(2, 1), None, True))
     entries.append(CorpusEntry(
         "quotient-graded-kZ4-over-Z2", _quotient_graded_group_algebra(4, 2),
         None, True))

@@ -214,7 +214,8 @@ def load_descriptor(path: str, validate_algebra: bool = True) -> Descriptor:
             data = json.load(fh)
     except OSError as exc:
         raise DescriptorError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer too long to convert, or nesting too deep
         raise DescriptorError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return descriptor_from_dict(data, validate_algebra=validate_algebra)

@@ -19,6 +19,7 @@ from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants
 from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
 from .linalg import Echelon, LinearMap, Vec, rref, vec_add_at
+from .reports import combination_text
 from .scalars import Scalar
 
 MAX_BETA_N = 4
@@ -120,8 +121,7 @@ class RelativeChain:
                         row: Vec = {t * dim + y: coeff for t, coeff in cx.items()}
                         for m, coeff in A.product_coords(x, y).items():
                             vec_add_at(row, c * dim + m, -coeff)
-                        if row:
-                            rows.append(row)
+                        rows.append(row)
             space = QuotientSpace(prev * dim, rows)
             self._verify_step(k, space)
             self._spaces[k] = space
@@ -186,10 +186,9 @@ class GaloisReport:
     def describe_kernel(self, algebra: GradedAlgebra) -> str | None:
         if self.kernel_witness is None:
             return None
-        bits = []
-        for (i, j), c in sorted(self.kernel_witness.items()):
-            bits.append(f"{c}*[{algebra.label(i)} (x) {algebra.label(j)}]")
-        return " + ".join(bits)
+        return combination_text(
+            (c, f"[{algebra.label(i)} (x) {algebra.label(j)}]")
+            for (i, j), c in sorted(self.kernel_witness.items()))
 
 
 def is_galois(algebra: GradedAlgebra,

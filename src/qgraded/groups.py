@@ -95,8 +95,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(-c for c in self.coords))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return self + (-other)
+        return self + (-other)  # __add__ refuses a foreign group
 
     def __mul__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):

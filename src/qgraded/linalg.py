@@ -115,10 +115,6 @@ def rref(rows: Iterable[Vec]) -> Echelon:
     return ech
 
 
-def rank(rows: Iterable[Vec]) -> int:
-    return echelon(rows).rank
-
-
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
     """Basis of {x : Mx = 0} for the matrix whose rows are given."""
     ech = rref(rows)

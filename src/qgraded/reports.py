@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
+def combination_text(pairs: Iterable[tuple[object, str]]) -> str:
+    """The linear combination "c1*t1 + c2*t2 + ..." in pair order, or "0"."""
+    return " + ".join(f"{c}*{t}" for c, t in pairs) or "0"
+
+
 @dataclass
 class CheckResult:
     """Outcome of one named check; witness describes the first failure."""

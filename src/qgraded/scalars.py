@@ -88,13 +88,12 @@ class Scalar:
     including across different cyclotomic orders.
     """
 
-    __slots__ = ("order", "coeffs", "_nt")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
         # internal: callers must pass canonical data (see _make)
         self.order = order
         self.coeffs = coeffs
-        self._nt = None
 
     # -- construction ------------------------------------------------
 
@@ -280,21 +279,17 @@ class Scalar:
         m, a, b = self._common(other)
         return a == b
 
-    def _normalized_trace(self) -> Fraction:
-        # Tr(zeta_n^i)/phi(n) = mobius(d)/phi(d) with d the order of zeta_n^i;
-        # invariant under cyclotomic embeddings, hence a sound hash key.
-        if self._nt is None:
-            n = self.order
-            total = _ZERO
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    d = n // math.gcd(n, i)
-                    total += c * Fraction(_mobius(d), _degree(d))
-            self._nt = total
-        return self._nt
-
     def __hash__(self):
-        return hash(("qgraded.Scalar", self._normalized_trace()))
+        # the normalized trace: Tr(zeta_n^i)/phi(n) = mobius(d)/phi(d) with d
+        # the order of zeta_n^i; invariant under cyclotomic embeddings, hence
+        # a sound hash key
+        n = self.order
+        total = _ZERO
+        for i, c in enumerate(self.coeffs):
+            if c:
+                d = n // math.gcd(n, i)
+                total += c * Fraction(_mobius(d), _degree(d))
+        return hash(("qgraded.Scalar", total))
 
     # -- printing -------------------------------------------------------
 
@@ -438,8 +433,12 @@ class _Scanner:
         m = re.match(r"\d+", self.text[self.pos:])
         if not m:
             self.error("expected an integer")
+        try:
+            value = int(m.group())
+        except ValueError:  # more digits than Python converts
+            self.error("integer has too many digits")
         self.pos += m.end()
-        return int(m.group())
+        return value
 
     def signed_integer(self) -> int:
         sign = -1 if self.take("-") else 1

@@ -11,6 +11,7 @@ from qgraded.algebras import (AlgebraElement, GradedAlgebra,
                               check_strong_grading, coaction, coinvariants,
                               strong_grading_window)
 from qgraded.commutation import standard_factor, trivial_factor
+from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import GroupMismatchError, InfiniteGroupError
 from qgraded.group_hopf import TensorElement
 from qgraded.groups import GradingGroup
@@ -64,6 +65,24 @@ def test_scalar_multiples_and_differences():
     assert 2 * x == x * 2 == x.scale(2) == x + x
     assert (x - x).is_zero()
     assert not x.is_zero()
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_truncated_poly_is_the_truncated_one_boson_algebra(m):
+    G = GradingGroup(0, (m,))
+    built = build_truncated_poly(m)
+    # oracle: the explicit table x^i * x^j = x^(i+j) below x^m
+    labels = ["1", "x"] + [f"x^{i}" for i in range(2, m)]
+    table = GradedAlgebra(G, [(labels[i], G.element((i,))) for i in range(m)],
+                          {(i, j): {i + j: Scalar.one()}
+                           for i in range(m) for j in range(m) if i + j < m},
+                          {0: Scalar.one()}, name=f"k[x]/(x^{m})")
+    truncation = build_b_symmetric_truncation(trivial_factor(G), m - 1)
+    truncation.name = built.name
+    text = dump_descriptor(Descriptor(G, None, built))
+    for other in (table, truncation):
+        assert dump_descriptor(Descriptor(G, None, other)) == text
+    assert list(built.products) == list(table.products)
 
 
 def test_element_text():

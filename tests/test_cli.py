@@ -325,6 +325,60 @@ def test_group_order_cap_bounds_the_generator_count(tmp_path, monkeypatch,
         assert row["error"] == text
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"group": {"torsion": [%s]}}' % ("7" * 5000), "integer string conversion"),
+    ('{"group": ' + "[" * 1000 + "]" * 1000 + "}", "recursion depth"),
+], ids=["5000-digit-integer", "nested-1000-deep"])
+def test_json_python_cannot_load_is_invalid_input(tmp_path, capsys, text,
+                                                  reason):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "probe.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: invalid JSON" in err and reason in err
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"].startswith(f"{path}: invalid JSON")
+
+
+_BIG = int("7" * 2200) * int("9" * 2200)
+
+
+@pytest.mark.parametrize("group, text", [
+    ({"torsion": [2] * 15000},
+     "15000 group generators exceed the 8 allowed by the cap 256"),
+    ({"torsion": [2] * 300000},
+     "300000 group generators exceed the 8 allowed by the cap 256"),
+    ({"torsion": [int("7" * 2200), int("9" * 2200)]},
+     f"group order at least 2^{_BIG.bit_length() - 1} exceeds the cap 256"),
+    ({"free_rank": int("9" * 4300), "torsion": [2]},
+     f"at least 2^{int('9' * 4300).bit_length() - 1} group generators "
+     f"exceed the 8 allowed by the cap 256"),
+], ids=["15000-moduli", "300000-moduli", "2200-digit-moduli", "4300-digit-rank"])
+def test_huge_groups_are_refused_without_printing_huge_integers(
+        tmp_path, monkeypatch, capsys, group, text):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "probe.json"
+    path.write_text(json.dumps({"group": group}), encoding="utf-8")
+    order = GradingGroup.order
+
+    def bounded(self):
+        assert self.ngens < 9, "order multiplied out past the generator bound"
+        return order.fget(self)
+
+    monkeypatch.setattr(GradingGroup, "order", property(bounded))
+    assert main(["check", str(path)]) == 3
+    assert f"error: {text}\n" == capsys.readouterr().err
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == text
+
+
 @pytest.mark.parametrize("rank, code", [(2, 0), (3, 3)])
 def test_a_group_of_order_4_has_at_most_two_generators(tmp_path, rank, code):
     path = tmp_path / "free.json"

@@ -84,6 +84,15 @@ def test_corrupted_antipode_is_caught():
     assert len(report.failures()) == 2
 
 
+def test_the_checks_use_the_element_antipode(monkeypatch):
+    monkeypatch.setattr(GroupAlgebraElement, "antipode", lambda self: self)
+    report = check_hopf_axioms(GradingGroup(0, (3,)))
+    assert [r.check_id for r in report.failures()] == ["hopf.antipode-left",
+                                                       "hopf.antipode-right"]
+    assert report.result("hopf.antipode-left").witness == "1*[(1)]"
+    assert report.result("hopf.antipode-right").witness == "1*[(1)]"
+
+
 def test_identity_antipode_is_fine_on_z2():
     report = check_hopf_axioms(GradingGroup(0, (2,)), antipode=lambda g: g)
     assert report.passed

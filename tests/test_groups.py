@@ -26,6 +26,8 @@ def test_cross_group_operations_fail():
     b = GradingGroup(0, (3,)).element((1,))
     with pytest.raises(GroupMismatchError):
         a + b
+    with pytest.raises(GroupMismatchError):
+        a - b
 
 
 @pytest.mark.parametrize("torsion,expected", [

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qgraded.linalg import (Echelon, LinearMap, kernel_basis, rank, rref,
+from qgraded.linalg import (Echelon, LinearMap, echelon, kernel_basis, rref,
                             vec_add_scaled)
-from qgraded.scalars import Scalar
+from qgraded.scalars import Scalar, root_of_unity
 
 
 def vec(**kw):
@@ -17,7 +17,7 @@ def s(x):
 
 def test_rank_of_simple_matrix():
     rows = [vec(c0=1, c1=2), vec(c1=1), vec(c0=1, c1=3)]
-    assert rank(rows) == 2
+    assert echelon(rows).rank == 2
 
 
 def test_rref_is_fully_reduced():
@@ -41,7 +41,7 @@ def test_kernel_vectors_annihilate():
 
 def test_rank_nullity():
     rows = [vec(c0=1, c2=1), vec(c1=1, c3=2), vec(c0=1, c1=1, c2=1, c3=2)]
-    assert rank(rows) + len(kernel_basis(rows, 5)) == 5
+    assert echelon(rows).rank + len(kernel_basis(rows, 5)) == 5
 
 
 def test_contains_membership():
@@ -101,9 +101,61 @@ def test_rank_agrees_with_dense_fraction_elimination(raw):
                 f = dense[i][col] / dense[r][col]
                 dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
         r += 1
-    assert rank(rows) == r
+    assert echelon(rows).rank == r
     # every kernel vector annihilates every row
     for v in kernel_basis(rows, 4):
+        for row in rows:
+            total = Scalar.zero()
+            for c, x in v.items():
+                total = total + row.get(c, Scalar.zero()) * x
+            assert total.is_zero()
+
+
+@st.composite
+def cyclotomic_matrices(draw):
+    """Up to 4 drawn rows of 4 entries in Q(zeta_n), n in {3, 4, 8}, plus a
+    combination of two of them, so that some matrices are rank deficient."""
+    n = draw(st.sampled_from([3, 4, 8]))
+    entry = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(
+        lambda coeffs: Scalar.cyclotomic(n, coeffs))
+    rows = draw(st.lists(st.lists(entry, min_size=4, max_size=4),
+                         min_size=1, max_size=4))
+    a, b = draw(entry), draw(entry)
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows) - 1))
+    return rows + [[a * x + b * y for x, y in zip(rows[i], rows[j])]]
+
+
+def _dense_rank(dense: list[list[Scalar]]) -> int:
+    """Rank by dense Gauss-Jordan elimination in Scalar arithmetic."""
+    dense = [list(r) for r in dense]
+    r = 0
+    for col in range(len(dense[0])):
+        piv = next((i for i in range(r, len(dense))
+                    if not dense[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        dense[r], dense[piv] = dense[piv], dense[r]
+        inv = dense[r][col].inverse()
+        for i in range(len(dense)):
+            if i != r and not dense[i][col].is_zero():
+                f = dense[i][col] * inv
+                dense[i] = [x - f * y for x, y in zip(dense[i], dense[r])]
+        r += 1
+    return r
+
+
+_I = root_of_unity(4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclotomic_matrices())
+# rank 1 over Q(i) (row 2 is i * row 1), rank 2 over any real field
+@example([[Scalar.one(), _I], [_I, Scalar.from_rational(-1)]])
+def test_rank_over_cyclotomic_fields_agrees_with_dense_elimination(dense):
+    rows = [{i: x for i, x in enumerate(r) if not x.is_zero()} for r in dense]
+    assert echelon(rows).rank == _dense_rank(dense)
+    for v in kernel_basis(rows, len(dense[0])):
         for row in rows:
             total = Scalar.zero()
             for c, x in v.items():

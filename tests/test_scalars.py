@@ -143,7 +143,11 @@ def test_parse_examples(text, value):
     assert parse_scalar(text) == value
 
 
-@pytest.mark.parametrize("text", ["zeta(0)", "1/0", "", "zeta(3", "1 +", "x"])
+@pytest.mark.parametrize("text", ["zeta(0)", "1/0", "", "zeta(3", "1 +", "x",
+                                  # more digits than Python converts
+                                  pytest.param("7" * 5000, id="5000-digits"),
+                                  pytest.param("zeta(%s)" % ("7" * 5000),
+                                               id="zeta-5000-digits")])
 def test_parse_errors(text):
     with pytest.raises(ScalarParseError) as err:
         parse_scalar(text)
