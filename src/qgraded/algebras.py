@@ -126,7 +126,7 @@ class GradedAlgebra:
         mul_cache: dict[tuple, Scalar] = {}
 
         def cached_mul(a: Scalar, b: Scalar) -> Scalar:
-            key = (a.order, a.coeffs, b.order, b.coeffs)
+            key = (a.order, a.nums, a.den, b.order, b.nums, b.den)
             v = mul_cache.get(key)
             if v is None:
                 v = a * b

@@ -1,10 +1,12 @@
 """Exact arithmetic in Q and in cyclotomic fields Q(zeta_n).
 
-A scalar is an element of Q[x]/(Phi_n(x)) stored in the power basis of
-zeta_n with Fraction coefficients, where Phi_n is the n-th cyclotomic
-polynomial.  Order 1 means plain rational.  All arithmetic is exact; there
-is no floating-point fallback anywhere.  Operands of different orders are
-embedded into Q(zeta_lcm) first; results that turn out rational are
+A scalar is an element of Q[x]/(Phi_n(x)), where Phi_n is the n-th
+cyclotomic polynomial, stored in the power basis of zeta_n as integer
+numerators over one common denominator: den > 0 and gcd(den, *nums) = 1.
+Order 1 means plain rational.  Phi_n is monic with integer coefficients,
+so reduction modulo Phi_n stays in the integers.  All arithmetic is exact;
+there is no floating-point fallback anywhere.  Operands of different orders
+are embedded into Q(zeta_lcm) first; results that turn out rational are
 brought back to order 1 so that the rational representation is unique.
 """
 
@@ -16,21 +18,6 @@ import re
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, ScalarParseError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _mobius(n: int) -> int:
@@ -50,34 +37,41 @@ def _mobius(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending powers, monic, exact integers."""
+    """Coefficients of Phi_n, ascending powers, monic, exact integers.
+
+    Built as the Mobius product of the x^d - 1 over d | n: the factors with
+    mu(n/d) = 1 are multiplied out, then those with mu(n/d) = -1 divided
+    off, each division exact.
+    """
     if n < 1:
         raise ValueError("cyclotomic order must be a positive integer")
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n):
-        if d < n:
-            poly, rem = _polydivmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise InternalConsistencyError(f"Phi_{d} does not divide x^{n} - 1")
+    poly = [1]
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            poly = _shift_sub(-1, poly, -1, poly, d)  # poly * (x^d - 1)
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            for k in range(len(poly) - 1, d - 1, -1):
+                poly[k - d] += poly[k]
+            if any(poly[:d]):
+                raise InternalConsistencyError(f"x^{d} - 1 does not divide")
+            poly = poly[d:]
     return tuple(poly)
 
 
-def _degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> list[Fraction]:
+def _reduce_mod_phi(nums: list[int], n: int) -> list[int]:
+    """Reduce a fresh coefficient list modulo Phi_n in place and pad it to
+    deg Phi_n; exact on integers because Phi_n is monic."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+    for i in range(len(nums) - 1, deg - 1, -1):
+        c = nums.pop()
         if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-        coeffs.pop()
-    coeffs.extend([_ZERO] * (deg - len(coeffs)))
-    return coeffs
+            for j in range(deg):
+                nums[i - deg + j] -= c * phi[j]
+    nums.extend([0] * (deg - len(nums)))
+    return nums
 
 
 class Scalar:
@@ -88,49 +82,67 @@ class Scalar:
     including across different cyclotomic orders.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, nums: tuple[int, ...], den: int):
         # internal: callers must pass canonical data (see _make)
         self.order = order
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def _make(order: int, coeffs: list[Fraction]) -> "Scalar":
-        coeffs = _reduce_mod_phi(coeffs, order)
-        if order > 1 and all(c == 0 for c in coeffs[1:]):
-            return Scalar(1, (coeffs[0],))
-        return Scalar(order, tuple(coeffs))
+    def _make(order: int, nums: list[int], den: int) -> "Scalar":
+        """The one normaliser: reduce a fresh list modulo Phi_order, fold a
+        rational value to order 1 and divide out gcd(den, *nums), den > 0."""
+        if order > 1 or len(nums) != 1:
+            nums = _reduce_mod_phi(nums, order)
+            if not any(nums[1:]):
+                order, nums = 1, nums[:1]
+        g = math.gcd(den, *nums)
+        if g != 1 or den < 0:
+            g = -g if den < 0 else g
+            nums = [c // g for c in nums]
+            den //= g
+        return Scalar(order, tuple(nums), den)
 
     @classmethod
     def from_rational(cls, value) -> "Scalar":
         """Wrap an int or Fraction as an order-1 scalar."""
-        return cls(1, (Fraction(value),))
+        value = Fraction(value)
+        return cls(1, (value.numerator,), value.denominator)
 
     @classmethod
     def cyclotomic(cls, order: int, coeffs) -> "Scalar":
         """Scalar from power-basis coefficients over Q(zeta_order)."""
         if order < 1:
             raise ValueError("cyclotomic order must be a positive integer")
-        return cls._make(order, [Fraction(c) for c in coeffs])
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return cls._make(order, [c.numerator * (den // c.denominator)
+                                 for c in coeffs], den)
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls(1, (_ZERO,))
+        return cls(1, (0,), 1)
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(1, (_ONE,))
+        return cls(1, (1,), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coefficients as Fractions (for printing and hashing)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 0
+        return self.order == 1 and not self.nums[0]
 
     def is_one(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 1
+        return self.order == 1 and self.nums[0] == self.den == 1
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -138,7 +150,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -152,22 +164,20 @@ class Scalar:
             raise ValueError(f"no embedding of order {n} into order {order}")
         if order == n:
             return self
-        return Scalar._make(order, list(self._raw_embed(order)))
+        return Scalar._make(order, self._lift(order), self.den)
 
-    def _raw_embed(self, order: int) -> tuple[Fraction, ...]:
-        if order == self.order:
-            return self.coeffs
+    def _lift(self, order: int) -> list[int]:
+        # numerators of the image in Q(zeta_order), reduced
         step = order // self.order
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return tuple(_reduce_mod_phi(out, order))
+        out = [0] * ((len(self.nums) - 1) * step + 1)
+        out[::step] = self.nums
+        return _reduce_mod_phi(out, order)
 
-    def _common(self, other: "Scalar") -> tuple[int, tuple, tuple]:
+    def _common(self, other: "Scalar") -> tuple[int, tuple | list, tuple | list]:
         if self.order == other.order:
-            return self.order, self.coeffs, other.coeffs
+            return self.order, self.nums, other.nums
         m = math.lcm(self.order, other.order)
-        return m, self._raw_embed(m), other._raw_embed(m)
+        return m, self._lift(m), other._lift(m)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -176,22 +186,23 @@ class Scalar:
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(1, (Fraction(value),))
+            return Scalar(1, (value.numerator,), value.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Scalar(1, (self.coeffs[0] + other.coeffs[0],))
+        da, db = self.den, other.den
+        if self.order == other.order == 1:
+            return Scalar._make(1, [self.nums[0] * db + other.nums[0] * da], da * db)
         m, a, b = self._common(other)
-        return Scalar._make(m, [x + y for x, y in zip(a, b)])
+        return Scalar._make(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.order, tuple(-c for c in self.coeffs))
+        return Scalar(self.order, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -209,37 +220,42 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Scalar(1, (self.coeffs[0] * other.coeffs[0],))
-        if self.order == 1:
-            c = self.coeffs[0]
-            if c == 0:
-                return Scalar.zero()
-            return Scalar._make(other.order, [c * y for y in other.coeffs])
-        if other.order == 1:
-            return other.__mul__(self)
+        den = self.den * other.den
+        if self.order == other.order == 1:
+            return Scalar._make(1, [self.nums[0] * other.nums[0]], den)
+        r, s = (self, other) if self.order == 1 else (other, self)
+        if r.order == 1:  # a rational factor scales every numerator
+            return Scalar._make(s.order, [r.nums[0] * y for y in s.nums], den)
         m, a, b = self._common(other)
-        return Scalar._make(m, _polymul(a, b))
+        return Scalar._make(m, _polymul(a, b), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        if self.is_zero():
+            raise ZeroDivisionError("scalar division by zero")
         if self.order == 1:
-            if self.coeffs[0] == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return Scalar(1, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x] against Phi_n (irreducible, so gcd is 1)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        lead = next(c for c in reversed(r0) if c != 0)
-        inv = [c / lead for c in s0]
-        return Scalar._make(self.order, inv)
+            return Scalar._make(1, [self.den], self.nums[0])
+        # extended Euclid in Z[x] against Phi_n (irreducible, so the last
+        # remainder g is a nonzero integer) by pseudo-division: each step
+        # keeps s * nums = r mod Phi_n and divides (r, s) by their content
+        r0, s0 = list(cyclotomic_polynomial(self.order)), [0]
+        r1, s1 = list(self.nums), [1]
+        while not r1[-1]:
+            r1.pop()
+        while r1:
+            c, d = r1[-1], len(r1) - 1
+            while len(r0) > d:
+                lead, j = r0[-1], len(r0) - 1 - d
+                r0 = _shift_sub(c, r0, lead, r1, j)
+                s0 = _shift_sub(c, s0, lead, s1, j)
+                while r0 and not r0[-1]:
+                    r0.pop()
+            g = math.gcd(*r0, *s0)
+            r0, r1 = r1, [x // g for x in r0]
+            s0, s1 = s1, [x // g for x in s0]
+        return Scalar._make(self.order, [x * self.den for x in s0], r0[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -274,8 +290,13 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # the least d with d*x in Z[zeta_m] is the same in every cyclotomic
+        # field holding x (power bases are integral bases), so den is an
+        # invariant of the value
+        if self.den != other.den:
+            return False
         if self.order == other.order:
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums
         m, a, b = self._common(other)
         return a == b
 
@@ -284,11 +305,11 @@ class Scalar:
         # the order of zeta_n^i; invariant under cyclotomic embeddings, hence
         # a sound hash key
         n = self.order
-        total = _ZERO
+        total = Fraction(0)
         for i, c in enumerate(self.coeffs):
             if c:
                 d = n // math.gcd(n, i)
-                total += c * Fraction(_mobius(d), _degree(d))
+                total += c * Fraction(_mobius(d), len(cyclotomic_polynomial(d)) - 1)
         return hash(("qgraded.Scalar", total))
 
     # -- printing -------------------------------------------------------
@@ -300,8 +321,8 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
-def _polymul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
+def _polymul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -310,34 +331,12 @@ def _polymul(a, b):
     return out
 
 
-def _polysub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+def _shift_sub(c: int, p: list[int], lead: int, q: list[int], j: int) -> list[int]:
+    """c * p - lead * x^j * q on integer coefficient lists."""
+    out = [c * x for x in p] + [0] * (len(q) + j - len(p))
+    for i, y in enumerate(q):
+        out[i + j] -= lead * y
     return out
-
-
-def _polydivmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
-    lead = den[dd]
-    # by a monic divisor nothing is divided, so integer inputs stay integers
-    quot = [lead * 0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] if lead == 1 else num[i] / lead
-        if c:
-            quot[i - dd] = c
-            for k, dj in zip(range(i - dd, i + 1), den):
-                num[k] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
 
 
 def root_of_unity(n: int, k: int = 1) -> Scalar:
@@ -349,7 +348,7 @@ def root_of_unity(n: int, k: int = 1) -> Scalar:
     n2, k2 = n // g, k // g
     if n2 == 1:
         return Scalar.one()
-    return Scalar._make(n2, [_ZERO] * k2 + [_ONE])
+    return Scalar._make(n2, [0] * k2 + [1], 1)
 
 
 # -- canonical text form ------------------------------------------------

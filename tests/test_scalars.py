@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from qgraded.errors import ScalarParseError
 from qgraded.scalars import (Scalar, cyclotomic_polynomial, format_scalar,
                              parse_scalar, root_of_unity)
 
-DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 8: 4}
+DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 8: 4, 12: 4}
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 
@@ -45,6 +46,17 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1(n):
                     out[i + j] += a * b
             product = out
     assert product == [-1] + [0] * (n - 1) + [1]
+
+
+def test_cyclotomic_polynomial_105_and_5040():
+    # Phi_105 is the first cyclotomic polynomial with a coefficient other
+    # than 0 and +-1
+    assert cyclotomic_polynomial(105) == (
+        1, 1, 1, 0, 0, -1, -1, -2, -1, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, -1,
+        0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, -1, -1, -2,
+        -1, -1, 0, 0, 1, 1, 1)
+    # deg Phi_5040 = phi(5040) = 5040 * (1/2) * (2/3) * (4/5) * (6/7)
+    assert len(cyclotomic_polynomial(5040)) - 1 == 1152
 
 
 def _pdeg(p):
@@ -218,3 +230,92 @@ def test_equality_and_hash_across_orders():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Scalar.one() / Scalar.zero()
+
+
+# -- canonical integer form, against a plain-Fraction oracle -----------------
+#
+# The oracle writes every value in the power basis of Q(zeta_24), which holds
+# Q(zeta_n) for every order n below, modulo Phi_24 = x^8 - x^4 + 1.
+
+CANONICAL_ORDERS = [1, 3, 4, 8, 12]
+_PHI_24_TAIL = {0: -1, 4: 1}  # x^8 = x^4 - 1
+
+
+def _oracle_reduce(poly):
+    poly = list(poly) + [Fraction(0)] * max(0, 8 - len(poly))
+    for i in range(len(poly) - 1, 7, -1):
+        c, poly[i] = poly[i], Fraction(0)
+        for k, t in _PHI_24_TAIL.items():
+            poly[i - 8 + k] += c * t
+    return tuple(poly[:8])
+
+
+def _oracle(s):
+    poly = [Fraction(0)] * (24 * len(s.nums))
+    for i, c in enumerate(s.nums):
+        poly[i * (24 // s.order)] += Fraction(c, s.den)
+    return _oracle_reduce(poly)
+
+
+def _oracle_mul(a, b):
+    out = [Fraction(0)] * 15
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _oracle_reduce(out)
+
+
+_ORACLE_ONE = (Fraction(1),) + (Fraction(0),) * 7
+
+sparse_fractions = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def canonical_inputs(draw):
+    n = draw(st.sampled_from(CANONICAL_ORDERS))
+    coeffs = draw(st.lists(sparse_fractions, min_size=DEGREES[n],
+                           max_size=DEGREES[n]))
+    return Scalar.cyclotomic(n, coeffs)
+
+
+def _assert_canonical(s):
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int for c in s.nums)
+    assert math.gcd(s.den, *s.nums) == 1
+    if s.order == 1:
+        assert len(s.nums) == 1
+    else:
+        assert len(s.nums) == len(cyclotomic_polynomial(s.order)) - 1
+        assert any(s.nums[1:]), "rational values are folded to order 1"
+
+
+@given(canonical_inputs(), canonical_inputs(), st.integers(-3, 3))
+def test_every_operation_returns_the_canonical_form(a, b, k):
+    m = math.lcm(a.order, b.order)
+    results = [a, b, a + b, a - b, a * b, -a, a.embed(m), a.embed(24)]
+    if not b.is_zero():
+        results += [a / b, b.inverse(), b ** k]
+    for r in results:
+        _assert_canonical(r)
+    assert _oracle(a + b) == tuple(x + y for x, y in zip(_oracle(a), _oracle(b)))
+    assert _oracle(a * b) == _oracle_mul(_oracle(a), _oracle(b))
+    assert _oracle(a.embed(m)) == _oracle(a.embed(24)) == _oracle(a)
+    if not b.is_zero():
+        assert _oracle_mul(_oracle(b.inverse()), _oracle(b)) == _ORACLE_ONE
+
+
+@given(canonical_inputs(), canonical_inputs(),
+       st.sampled_from(CANONICAL_ORDERS))
+def test_cross_order_equality_and_hash_agree_with_oracle(a, b, m):
+    # the same value written over a larger order, built from its spread
+    # power-basis coefficients rather than by embed
+    big = math.lcm(a.order, m)
+    spread = [Fraction(0)] * ((len(a.nums) - 1) * (big // a.order) + 1)
+    for i, c in enumerate(a.nums):
+        spread[i * (big // a.order)] = Fraction(c, a.den)
+    same = Scalar.cyclotomic(big, spread)
+    # a/2 keeps the numerators of a unless they are all even
+    for x, y in [(a, same), (a, b), (same, b), (a, a / 2)]:
+        assert (x == y) == (_oracle(x) == _oracle(y))
+        if _oracle(x) == _oracle(y):
+            assert hash(x) == hash(y)
