@@ -48,11 +48,8 @@ def _row(check_id: str, verdict: bool, expected: bool = True,
 
 
 def _rows_from_report(report, expect: dict[str, bool]) -> list[dict]:
-    rows = []
-    for r in report.results:
-        expected = expect.get(r.check_id, True)
-        rows.append(_row(r.check_id, r.passed, expected, r.witness, r.note))
-    return rows
+    return [_row(r.check_id, r.passed, expect.get(r.check_id, True), r.witness, r.note)
+            for r in report.results]
 
 
 def _admit(path: str, max_group_order: int) -> Descriptor:
@@ -69,6 +66,10 @@ def _admit(path: str, max_group_order: int) -> Descriptor:
     if group.is_finite and group.order > max_group_order:
         raise CapExceededError(
             f"group order {_count(group.order)} exceeds the cap {max_group_order}")
+    if desc.factor is not None:  # b meets |g_i*h_j| <= 8 in the cqt sample, m^2 in qc
+        m = max((abs(x) for _, g in (desc.algebra.basis if desc.algebra else [])
+                 for x in g.coords[:group.free_rank]), default=0)
+        desc.factor.check_value_size(max(8, m * m))
     return desc
 
 
@@ -139,12 +140,9 @@ def cmd_check(args) -> int:
             expect[b] = expect[a]
     try:
         desc = _admit(args.file, args.max_group_order)
-    except DescriptorError as exc:
+    except (DescriptorError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, CapExceededError) else 2
     rows = _check_descriptor(desc, expect)
     report = {"input": Path(args.file).name,
               "passed": all(r["passed"] for r in rows),
@@ -189,6 +187,7 @@ def _build_from_args(args) -> Descriptor:
             raise ValueError("twisted-group-algebra requires a finite group (n >= 2)")
         algebra = build_twisted_group_algebra(group, factor)
     else:
+        factor.check_value_size(args.max_degree ** 2)
         algebra = build_b_symmetric_truncation(factor, args.max_degree)
     return Descriptor(group, factor, algebra)
 
@@ -196,10 +195,10 @@ def _build_from_args(args) -> Descriptor:
 def cmd_generate(args) -> int:
     try:
         desc = _build_from_args(args)
-    except ValueError as exc:
+    except (ValueError, CapExceededError) as exc:
         # input errors are ValueErrors; an InternalConsistencyError must propagate
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceededError) else 2
     text = dump_descriptor(desc)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

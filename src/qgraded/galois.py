@@ -12,7 +12,6 @@ map and of its iterates is decided by exact rank.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebras import GradedAlgebra, StrongGradingReport, \
@@ -195,24 +194,28 @@ def is_galois(algebra: GradedAlgebra,
               chain: RelativeChain | None = None) -> GaloisReport:
     """Decide bijectivity of the canonical map by exact rank.
 
-    On failure the report carries a kernel vector of minimal support
-    (in quotient-representative coordinates keyed by (i, j) ambient
-    labels) or a codomain basis vector outside the image.
+    On failure the report carries a kernel vector of minimal support keyed
+    by the (i, j) of its classes i (x) j, or the (i, g) of a codomain basis
+    vector i (x) g outside the image, decoded from positions as in `beta_n`.
     """
+    chain = chain or RelativeChain(algebra)
     beta = beta_n(algebra, 1, chain=chain)
     image = beta.image_echelon()
     r = image.rank
     if r == beta.domain_dim == beta.codomain_dim:
         return GaloisReport(True, beta.domain_dim, beta.codomain_dim, r)
-    kernel_witness = None
-    cokernel_witness = None
+    kernel_witness = cokernel_witness = None
     if r < beta.domain_dim:
         best = min(beta.kernel(), key=lambda v: (len(v), sorted(v)))
-        kernel_witness = {beta.domain_labels[q]: c for q, c in best.items()}
+        ambient = chain.space(1).basis_ambient
+        kernel_witness = {divmod(ambient[q], algebra.dim): c
+                          for q, c in best.items()}
     if r < beta.codomain_dim:
-        missing = next(i for i in range(beta.codomain_dim)
-                       if i not in image.pivot_rows)
-        cokernel_witness = beta.codomain_labels[missing]
+        missing = next(p for p in range(beta.codomain_dim)
+                       if p not in image.pivot_rows)
+        elements = algebra.group.elements()
+        i, t = divmod(missing, len(elements))
+        cokernel_witness = (i, elements[t])
     return GaloisReport(False, beta.domain_dim, beta.codomain_dim, r,
                         kernel_witness, cokernel_witness)
 
@@ -222,10 +225,10 @@ def beta_n(algebra: GradedAlgebra, n: int,
     """The n-fold iterate of the canonical map; the grading group must be
     finite.
 
-    Domain: the (n+1)-fold relative tensor power, with flattened
-    representative tuples as labels.  Codomain: algebra (x) n copies of
-    the group algebra, labeled (i, g_1, ..., g_n) at position
-    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n).
+    Domain: the (n+1)-fold relative tensor power T_n; column q is its
+    quotient basis class q.  Codomain: algebra (x) n copies of the group
+    algebra, i (x) g_1 (x) ... (x) g_n at position
+    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n), idx the `elements()` order.
 
     beta^1, ..., beta^n are built level by level from the identity beta^0:
     the T_k class at ambient position cprev*dim + m maps to
@@ -246,17 +249,12 @@ def beta_n(algebra: GradedAlgebra, n: int,
     dim = algebra.dim
     elements = algebra.group.elements()
     nG = len(elements)
-    cod_labels = [(i,) + hs
-                  for i in range(dim)
-                  for hs in itertools.product(elements, repeat=n)]
     gindex = {g.coords: t for t, g in enumerate(elements)}
     grade_idx = [gindex[algebra.grade(j).coords] for j in range(dim)]
 
     columns: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
-    labels: list[tuple[int, ...]] = [(i,) for i in range(dim)]
     for k in range(1, n + 1):
-        prev_columns, prev_labels = columns, labels
-        columns, labels = [], []
+        prev_columns, columns = columns, []
         for amb in chain.space(k).basis_ambient:
             cprev, m = divmod(amb, dim)
             g = grade_idx[m]
@@ -265,8 +263,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
                 for p, x in prev_columns[t].items():
                     vec_add_at(col, p * nG + g, c * x)
             columns.append(col)
-            labels.append(prev_labels[cprev] + (m,))
-    return LinearMap(labels, cod_labels, columns)
+    return LinearMap(dim * nG ** n, columns)
 
 
 @dataclass

@@ -131,22 +131,15 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
 
 
 class LinearMap:
-    """Exact linear map between labeled finite-dimensional spaces."""
+    """Exact linear map k^domain_dim -> k^codomain_dim by its sparse columns."""
 
-    def __init__(self, domain_labels: list, codomain_labels: list,
-                 columns: list[Vec]):
-        assert len(columns) == len(domain_labels)
-        self.domain_labels = domain_labels
-        self.codomain_labels = codomain_labels
+    def __init__(self, codomain_dim: int, columns: list[Vec]):
+        self.codomain_dim = codomain_dim
         self.columns = columns
 
     @property
     def domain_dim(self) -> int:
-        return len(self.domain_labels)
-
-    @property
-    def codomain_dim(self) -> int:
-        return len(self.codomain_labels)
+        return len(self.columns)
 
     def rows(self) -> list[Vec]:
         out: list[Vec] = [{} for _ in range(self.codomain_dim)]

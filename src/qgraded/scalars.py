@@ -483,13 +483,8 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the canonical scalar grammar; raises ScalarParseError."""
     sc = _Scanner(text)
     value = _parse_product(sc)
-    while True:
-        if sc.take("+"):
-            value = value + _parse_product(sc)
-        elif sc.peek() == "-":
-            value = value + _parse_product(sc)
-        else:
-            break
+    while sc.take("+") or sc.peek() == "-":
+        value = value + _parse_product(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("unexpected trailing input")

@@ -192,6 +192,68 @@ def test_generate_invalid_params_exit_2(tmp_path):
                  "--sigma", "not json", "--omega", "[[0]]", "--q", "1"]) == 2
 
 
+_CAP_TEXT = "error: commutation factor values may exceed the cap of 8192 bits\n"
+
+
+def _no_large_powers(monkeypatch):
+    pow_ = Scalar.__pow__
+
+    def bounded(self, exponent):
+        assert abs(exponent) <= 1000, "a power was taken before the value cap"
+        return pow_(self, exponent)
+
+    monkeypatch.setattr(Scalar, "__pow__", bounded)
+
+
+def _graded_unit_and_two_squares_zero(grades):
+    basis = [{"label": label, "grade": g} for label, g in zip("1xy", grades)]
+    products = [{"left": 0, "right": j, "result": [{"basis": j, "coeff": "1"}]}
+                for j in range(3)]
+    products += [{"left": j, "right": 0, "result": [{"basis": j, "coeff": "1"}]}
+                 for j in (1, 2)]
+    return {"basis": basis, "unit": {"0": "1"}, "products": products}
+
+
+@pytest.mark.parametrize("data", [
+    {"group": {"free_rank": 2},
+     "factor": {"sigma": [[0, 0], [0, 0]],
+                "omega": [[0, 10 ** 6], [-10 ** 6, 0]], "q": "2"}},
+    {"group": {"free_rank": 2},
+     "factor": {"sigma": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]], "q": "2"},
+     "algebra": _graded_unit_and_two_squares_zero(
+         [[0, 0], [10 ** 5, 0], [0, 10 ** 5]])},
+], ids=["omega-1e6", "grades-1e5"])
+def test_check_refuses_huge_factor_values_before_any_power(
+        tmp_path, monkeypatch, capsys, data):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "probe.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _no_large_powers(monkeypatch)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == _CAP_TEXT
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == _CAP_TEXT[len("error: "):-1]
+
+
+def test_generate_refuses_huge_factor_values_before_any_power(
+        tmp_path, monkeypatch, capsys):
+    _no_large_powers(monkeypatch)
+    assert main(["generate", "b-symmetric", "--n", "0", "--N", "2",
+                 "--omega", "[[0,1000000],[-1000000,0]]", "--q", "2"]) == 3
+    assert capsys.readouterr().err == _CAP_TEXT
+    # b-symmetric reaches coordinate products of max_degree^2:
+    # 3 bits for q = 2 times 200 * max_degree^2 is 5400 at 3 and 9600 at 4
+    argv = ["generate", "b-symmetric", "--n", "0", "--N", "2",
+            "--omega", "[[0,100],[-100,0]]", "--q", "2",
+            "--out", str(tmp_path / "b.json")]
+    assert main(argv + ["--max-degree", "3"]) == 0
+    assert main(argv + ["--max-degree", "4"]) == 3
+    assert capsys.readouterr().err == _CAP_TEXT
+
+
 def test_suite_on_shipped_corpus(tmp_path, capsys):
     assert CORPUS.is_dir(), "shipped corpus directory missing"
     report = tmp_path / "suite.json"

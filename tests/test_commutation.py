@@ -1,14 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraded.commutation import (check_cqt_axioms, check_quotient_descent,
+from qgraded.commutation import (_height, check_cqt_axioms, check_quotient_descent,
                                  classify_statistics, convolution_inverse,
                                  standard_factor, trivial_factor)
+from qgraded.errors import CapExceededError
 from qgraded.groups import GradingGroup
-from qgraded.scalars import Scalar, root_of_unity
+from qgraded.scalars import Scalar, format_scalar, root_of_unity
 
 
 def test_fermionic_generator():
@@ -49,6 +51,46 @@ def test_construction_rejects_torsion_descent_violation():
     with pytest.raises(ValueError, match="gen 0, gen 1"):
         standard_factor(GradingGroup(0, (3, 3)),
                         [[0, 1], [1, 0]], [[0, 0], [0, 0]], Scalar.one())
+
+
+def test_factor_values_are_bounded_before_any_power_is_taken():
+    # q = 2 and q = 1/2 add 3 bits per factor: sum |omega_ij| * 3 <= 8192
+    G = GradingGroup(2)
+    zero = [[0, 0], [0, 0]]
+    for q in (Scalar.from_rational(2), Scalar.from_rational(Fraction(1, 2))):
+        b = standard_factor(G, zero, [[0, 1365], [-1365, 0]], q)
+        assert len(format_scalar(b.generator_value(1, 0))) > 400
+        with pytest.raises(CapExceededError, match="cap of 8192 bits"):
+            b.check_value_size(2)
+        with pytest.raises(CapExceededError, match="cap of 8192 bits"):
+            standard_factor(G, zero, [[0, 1366], [-1366, 0]], q)
+    # a root of unity has no growth to bound
+    b = standard_factor(G, zero, [[0, 10 ** 9], [-10 ** 9, 0]], root_of_unity(6))
+    b.check_value_size(10 ** 12)
+    assert b.generator_value(0, 1) == root_of_unity(6, 10 ** 9)
+
+
+def test_height_is_zero_exactly_on_roots_of_unity():
+    # Q(zeta_n) holds only the roots of unity of order dividing 2n
+    for n in (1, 2, 3, 4, 5, 6, 8, 12, 15):
+        z = root_of_unity(n)
+        values = [s * root_of_unity(n, k) for k in range(n) for s in (1, -1)]
+        values += [Scalar.from_rational(2), Scalar.from_rational(Fraction(1, 2)),
+                   1 + z, 2 + z, (3 + 4 * z) / 5, 1 + z + z ** 3]
+        for x in values:
+            if not x.is_zero():
+                assert (_height(x) == 0) == (x ** (2 * n)).is_one(), (n, x)
+    # 1 + zeta_3 = -zeta_3^2; 1 + zeta_5 is a unit of absolute value 1.618
+    assert _height(1 + root_of_unity(3)) == 0
+    assert _height(1 + root_of_unity(5)) == 3
+    assert _height(Scalar.from_rational(Fraction(-3, 4))) == 5
+
+
+def test_torsion_descent_takes_no_power_of_a_value_that_is_no_root_of_unity():
+    # b(gen 0, gen 1) = 2 has no power 1, however large the modulus
+    with pytest.raises(ValueError, match=r"gen 0, gen 1\)\^1000000000 != 1"):
+        standard_factor(GradingGroup(0, (10 ** 9, 2)), [[0, 0], [0, 0]],
+                        [[0, 1], [-1, 0]], Scalar.from_rational(2))
 
 
 def _bilinear_oracle(b, g, h):

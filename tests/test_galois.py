@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from qgraded.commutation import standard_factor, trivial_factor
 from qgraded.cli import main
 from qgraded.corpus import (_quotient_graded_group_algebra,
                             deleted_product_fixture)
+from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import (CapExceededError, InfiniteGroupError,
                             InternalConsistencyError)
 from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
@@ -282,29 +284,36 @@ def test_invariants_survive_a_change_of_basis_in_each_component(name, data):
 
 # -- the canonical map ---------------------------------------------------------
 
+def _beta_column(A, n, slots):
+    """The beta^n column of the class slots[0] (x) ... (x) slots[n], found
+    level by level through the ambient position cprev*dim + m of T_k."""
+    chain = RelativeChain(A)
+    bmap = beta_n(A, n, chain=chain)
+    c = slots[0]
+    for k, m in enumerate(slots[1:], start=1):
+        c = chain.space(k).basis_ambient.index(c * A.dim + m)
+    return bmap.columns[c]
+
+
 def test_canonical_map_on_twisted_z2():
-    A = twisted_z2()
-    beta = canonical_map(A)
-    g1 = A.group.element((1,))
-    # class(u (x) u) has ambient label (1, 1); image is u^2 (x) g = 1 (x) g
-    col = beta.columns[beta.domain_labels.index((1, 1))]
-    expected_index = beta.codomain_labels.index((0, g1))
-    assert col == {expected_index: Scalar.one()}
+    # class(u (x) u) maps to u^2 (x) g = 1 (x) g, at row 0*|G| + idx(g)
+    assert _beta_column(twisted_z2(), 1, (1, 1)) == {1: Scalar.one()}
 
 
 def test_canonical_map_kills_nilpotent_pair():
-    P = build_truncated_poly(2)
-    beta = canonical_map(P)
-    col = beta.columns[beta.domain_labels.index((1, 1))]
-    assert col == {}
+    assert _beta_column(build_truncated_poly(2), 1, (1, 1)) == {}
 
 
 def test_canonical_map_unit_pair():
+    # 1 (x) 1 maps to 1 (x) e, at row 0*|G| + idx(e) = 0
     for A in (twisted_z2(), build_truncated_poly(3)):
-        beta = canonical_map(A)
-        e = A.group.identity()
-        col = beta.columns[beta.domain_labels.index((0, 0))]
-        assert col == {beta.codomain_labels.index((0, e)): Scalar.one()}
+        assert _beta_column(A, 1, (0, 0)) == {0: Scalar.one()}
+
+
+def test_beta_two_column_on_twisted_z2():
+    # u (x) u (x) u maps to u^3 (x) grade(u^2) (x) grade(u) = u (x) e (x) g,
+    # at row i*|G|^2 + idx(g_1)*|G| + idx(g_2) = 1*4 + 0*2 + 1
+    assert _beta_column(twisted_z2(), 2, (1, 1, 1)) == {5: Scalar.one()}
 
 
 def test_canonical_map_requires_finite_group():
@@ -365,6 +374,26 @@ def test_group_algebra_over_itself_is_galois():
         assert report.galois
 
 
+def test_cokernel_witness_of_a_grading_with_an_empty_component(tmp_path):
+    # k graded by Z_2 with A_1 = 0: beta is 1 -> 2, injective but not onto
+    G = GradingGroup(0, (2,))
+    one = Scalar.one()
+    A = GradedAlgebra(G, [("1", G.identity())], {(0, 0): {0: one}}, {0: one})
+    report = is_galois(A)
+    assert (report.galois, report.rank, report.domain_dim,
+            report.codomain_dim) == (False, 1, 1, 2)
+    assert report.kernel_witness is None
+    assert report.cokernel_witness == (0, G.element((1,)))
+    path, out = tmp_path / "k.json", tmp_path / "report.json"
+    path.write_text(dump_descriptor(Descriptor(G, None, A)), encoding="utf-8")
+    assert main(["check", str(path), "--expect", "not-strong",
+                 "--report", str(out)]) == 0
+    [row] = [r for r in json.loads(out.read_text())["checks"]
+             if r["id"] == "galois.bijective"]
+    assert row["witness"] == ("cokernel at (0, GroupElement(group=GradingGroup("
+                              "free_rank=0, torsion=(2,)), coords=(1,)))")
+
+
 def test_galois_dimension_law(corpus):
     for entry in corpus:
         report = is_galois(entry.algebra)
@@ -381,7 +410,7 @@ def test_beta_one_equals_canonical_map():
         direct = canonical_map(A, chain)
         iterated = beta_n(A, 1, chain=chain)
         assert iterated.columns == direct.columns
-        assert iterated.codomain_labels == direct.codomain_labels
+        assert iterated.codomain_dim == direct.codomain_dim
 
 
 def test_beta_two_on_twisted_z2():
