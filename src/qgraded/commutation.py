@@ -148,6 +148,11 @@ def check_cqt_axioms(b: CommutationFactor,
     is the whole group up to order 64, otherwise the identity, the
     generators, their inverses and their doubles.  `pairing` overrides
     the evaluation map (for negative fixtures).
+
+    The cube runs on ids, positions in the sample with sums outside it (Z^N
+    only) after it.  Each b(x, y) with x or y in the sample is evaluated once
+    and interned by its stored form, products are memoised on pairs of value
+    ids, and differing ids are confirmed by Scalar equality (one form per order).
     """
     ev = pairing or b.evaluate
     group = b.group
@@ -157,23 +162,44 @@ def check_cqt_axioms(b: CommutationFactor,
         gens = group.generators()
         pool = [group.identity()] + gens + [-g for g in gens] + [g + g for g in gens]
         els = list({g.coords: g for g in pool}.values())
+    n, ids = len(els), {g.coords: i for i, g in enumerate(els)}
+    add = [[ids.setdefault((h + k).coords, len(ids)) for k in els] for h in els]
+    pts = els + [group.element(c) for c in list(ids)[n:]]
+    vals, vid, prod = [], {}, {}  # value id -> Scalar, stored form -> id, products
+
+    def intern(s: Scalar) -> int:
+        i = vid.setdefault((s.order, s.nums, s.den), len(vals))
+        if i == len(vals):
+            vals.append(s)
+        return i
+
+    bt = [[intern(ev(x, y)) if i < n or j < n else None for j, y in enumerate(pts)]
+          for i, x in enumerate(pts)]
+
+    def fails(lhs: int, u: int, v: int) -> bool:  # value lhs != value u * value v
+        p = prod.get((u, v))
+        if p is None:
+            p = prod[u, v] = intern(vals[u] * vals[v])
+        return p != lhs and vals[p] != vals[lhs]
 
     report = CheckReport()
     report.check("cqt.commutation-identity",
-                 (f"({h}, {k})" for h, k in itertools.product(els, repeat=2)
-                  if k + h != h + k),
+                 (f"({els[h]}, {els[k]})" for h, k in itertools.product(range(n), repeat=2)
+                  if add[k][h] != add[h][k]),
                  note="on group-likes this reduces to commutativity of the grading group")
     report.check("cqt.bimultiplicative-right",
-                 (f"({h}, {k}, {l})" for h, k, l in itertools.product(els, repeat=3)
-                  if ev(h, k + l) != ev(h, k) * ev(h, l)),
+                 (f"({els[h]}, {els[k]}, {els[l]})"
+                  for h, k, l in itertools.product(range(n), repeat=3)
+                  if fails(bt[h][add[k][l]], bt[h][k], bt[h][l])),
                  note="b(h, k+l) = b(h,k) b(h,l)")
     report.check("cqt.bimultiplicative-left",
-                 (f"({h}, {k}, {l})" for h, k, l in itertools.product(els, repeat=3)
-                  if ev(h + k, l) != ev(h, l) * ev(k, l)),
+                 (f"({els[h]}, {els[k]}, {els[l]})"
+                  for h, k, l in itertools.product(range(n), repeat=3)
+                  if fails(bt[add[h][k]][l], bt[h][l], bt[k][l])),
                  note="b(h+k, l) = b(h,l) b(k,l)")
     report.check("cqt.convolution-invertible",
-                 (f"({h}, {k})" for h, k in itertools.product(els, repeat=2)
-                  if ev(h, k).is_zero()),
+                 (f"({els[h]}, {els[k]})" for h, k in itertools.product(range(n), repeat=2)
+                  if vals[bt[h][k]].is_zero()),
                  note="all values nonzero; q restricted to exact cyclotomic scalars")
     return report
 
@@ -201,7 +227,9 @@ def check_quotient_descent(b: CommutationFactor, n: int) -> DescentResult:
     N = b.group.free_rank
     for i in range(N):
         for j in range(N):
-            if not (b.generator_value(i, j) ** n).is_one():
+            # as in the torsion descent; a root of unity in Q(zeta_m) has order | 2m
+            x = b.generator_value(i, j)
+            if b._height and b.omega[i][j] or not (x ** (n % (2 * x.order))).is_one():
                 return DescentResult(False, n, witness=(i, j))
     target = GradingGroup(0, (n,) * N)
     induced = CommutationFactor(target, b.sigma, b.omega, b.q)

@@ -17,7 +17,9 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import InternalConsistencyError, ScalarParseError
+from .errors import CapExceededError, InternalConsistencyError, ScalarParseError
+
+MAX_ZETA_ORDER = 512  # of a parsed scalar; a product in Q(zeta_n) costs O(phi(n)^2)
 
 
 def _mobius(n: int) -> int:
@@ -404,6 +406,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.order = 1  # lcm of the zeta orders read so far
 
     def error(self, message: str):
         raise ScalarParseError(message, self.pos)
@@ -453,6 +456,9 @@ def _parse_term(sc: _Scanner) -> Scalar:
             sc.pos = at
             sc.error("zeta order must be a positive integer")
         sc.expect(")")
+        sc.order = math.lcm(sc.order, n)
+        if sc.order > MAX_ZETA_ORDER:
+            raise CapExceededError(f"cyclotomic order exceeds the cap {MAX_ZETA_ORDER}")
         k = sc.signed_integer() if sc.take("^") else 1
         return root_of_unity(n, k)
     at = sc.pos

@@ -13,7 +13,7 @@ from qgraded.corpus import standard_corpus
 from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import InternalConsistencyError
 from qgraded.groups import GradingGroup
-from qgraded.scalars import Scalar
+from qgraded.scalars import Scalar, cyclotomic_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # sha256 of the --report bytes of `check` on every corpus file (with
@@ -252,6 +252,45 @@ def test_generate_refuses_huge_factor_values_before_any_power(
     assert main(argv + ["--max-degree", "3"]) == 0
     assert main(argv + ["--max-degree", "4"]) == 3
     assert capsys.readouterr().err == _CAP_TEXT
+
+
+_ZETA_CAP_TEXT = "error: cyclotomic order exceeds the cap 512\n"
+
+
+def _no_large_cyclotomic_orders(monkeypatch):
+    phi = cyclotomic_polynomial
+
+    def bounded(n):
+        assert n <= 512, "arithmetic above the cyclotomic order cap"
+        return phi(n)
+
+    monkeypatch.setattr("qgraded.scalars.cyclotomic_polynomial", bounded)
+
+
+@pytest.mark.parametrize("q", ["zeta(99991)", "zeta(100000000)"])
+def test_check_and_suite_refuse_a_zeta_order_above_the_cap(
+        tmp_path, monkeypatch, capsys, q):
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "probe.json"
+    path.write_text(json.dumps({
+        "group": {"free_rank": 2},
+        "factor": {"sigma": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]], "q": q}}),
+        encoding="utf-8")
+    _no_large_cyclotomic_orders(monkeypatch)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == _ZETA_CAP_TEXT
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == _ZETA_CAP_TEXT[len("error: "):-1]
+
+
+def test_generate_refuses_a_zeta_order_above_the_cap(monkeypatch, capsys):
+    _no_large_cyclotomic_orders(monkeypatch)
+    assert main(["generate", "twisted-group-algebra", "--n", "3", "--N", "2",
+                 "--omega", "[[0,1],[-1,0]]", "--q", "zeta(100000000)"]) == 3
+    assert capsys.readouterr().err == _ZETA_CAP_TEXT
 
 
 def test_suite_on_shipped_corpus(tmp_path, capsys):

@@ -218,6 +218,52 @@ def test_broken_pairing_on_the_sample_gives_its_first_witness(make, g, h,
     assert report.result("cqt.convolution-invertible").passed
 
 
+def test_equal_values_stored_at_different_orders_give_no_witness():
+    # b(g, h) in Q(zeta_3) and the same value embedded in Q(zeta_12) have
+    # different stored forms; the laws compare values, not forms
+    G = GradingGroup(0, (3, 3))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], root_of_unity(3))
+
+    def mixed(g, h):
+        value = b.evaluate(g, h)
+        return value.embed(12) if (g.coords[0] + h.coords[1]) % 2 else value
+
+    report = check_cqt_axioms(b, pairing=mixed)
+    assert report.passed, report.failures()
+
+
+def _counting(b):
+    calls = []
+
+    def pairing(g, h):
+        calls.append((g.coords, h.coords))
+        return b.evaluate(g, h)
+    return pairing, calls
+
+
+@pytest.mark.parametrize("torsion,omega,q", [
+    ((4, 4), [[0, 1], [-1, 0]], root_of_unity(4)),
+    ((2,) * 6, [[(i < j) - (i > j) for j in range(6)] for i in range(6)],
+     Scalar.from_rational(-1)),
+])
+def test_cqt_cube_evaluates_each_pair_once(torsion, omega, q):
+    G = GradingGroup(0, torsion)
+    b = standard_factor(G, [[0] * len(torsion)] * len(torsion), omega, q)
+    pairing, calls = _counting(b)
+    assert check_cqt_axioms(b, pairing=pairing).passed
+    assert len(calls) == len(set(calls)) <= G.order ** 2
+
+
+def test_cqt_sample_evaluates_each_pair_of_ids_once():
+    # ids are the sample and the sums of two sample elements
+    b = _z2_factor()
+    sample = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (2, 0), (0, 2)]
+    ids = {(x + u, y + v) for x, y in sample for u, v in sample}
+    pairing, calls = _counting(b)
+    assert check_cqt_axioms(b, pairing=pairing).passed
+    assert len(calls) == len(set(calls)) <= len(ids) ** 2
+
+
 def test_cqt_report_documents_commutativity_reduction():
     report = check_cqt_axioms(trivial_factor(GradingGroup(0, (2,))))
     note = report.result("cqt.commutation-identity").note
@@ -258,6 +304,26 @@ def test_descent_fails_for_odd_root_with_odd_sigma():
     result = check_quotient_descent(b, 3)
     assert not result.descends
     assert result.witness == (0, 1)
+
+
+def test_descent_takes_no_power_above_twice_the_order_of_a_root_of_unity(monkeypatch):
+    pow_ = Scalar.__pow__
+
+    def bounded(self, exponent):
+        assert abs(exponent) <= 1000, "a power of the reduction modulus was taken"
+        return pow_(self, exponent)
+
+    monkeypatch.setattr(Scalar, "__pow__", bounded)
+    G = GradingGroup(2)
+    # b(xi_0, xi_1) = 2 is no root of unity, so it has no power 1
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], Scalar.from_rational(2))
+    result = check_quotient_descent(b, 10 ** 9)
+    assert not result.descends and result.witness == (0, 1)
+    # b(xi_0, xi_1) = -zeta_4 has order 4, and (10^9 + 2) % 8 == 2
+    b = standard_factor(G, [[0, 1], [1, 0]], [[0, 1], [-1, 0]], root_of_unity(4))
+    result = check_quotient_descent(b, 10 ** 9 + 2)
+    assert not result.descends and result.witness == (0, 1)
+    assert check_quotient_descent(b, 2).witness == (0, 1)
 
 
 def test_descent_trivial_factor_always_descends():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qgraded.errors import ScalarParseError
-from qgraded.scalars import (Scalar, cyclotomic_polynomial, format_scalar,
-                             parse_scalar, root_of_unity)
+from qgraded.errors import CapExceededError, ScalarParseError
+from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, cyclotomic_polynomial,
+                             format_scalar, parse_scalar, root_of_unity)
 
 DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 8: 4, 12: 4}
 
@@ -170,6 +170,27 @@ def test_parse_error_position():
     with pytest.raises(ScalarParseError) as err:
         parse_scalar("zeta(0)")
     assert err.value.position == 5
+
+
+def test_parsed_zeta_orders_are_capped_before_any_arithmetic(monkeypatch):
+    phi = cyclotomic_polynomial
+
+    def bounded(n):
+        assert n <= MAX_ZETA_ORDER, f"arithmetic in Q(zeta_{n}) above the cap"
+        return phi(n)
+
+    monkeypatch.setattr("qgraded.scalars.cyclotomic_polynomial", bounded)
+    assert MAX_ZETA_ORDER == 512
+    assert parse_scalar("zeta(512)") == root_of_unity(512)
+    assert parse_scalar("zeta(16)^3*zeta(3)") == root_of_unity(48, 9 + 16)
+    # the cap bounds the order of the field that holds the whole scalar
+    for text in ("zeta(513)", "zeta(100000000)", "zeta(509)*zeta(503)",
+                 "zeta(256) + zeta(3)"):
+        with pytest.raises(CapExceededError, match="cyclotomic order exceeds the cap 512"):
+            parse_scalar(text)
+    monkeypatch.undo()
+    # only parsing is capped
+    assert root_of_unity(1021).order == Scalar.cyclotomic(1021, [0, 1]).order == 1021
 
 
 # -- properties ------------------------------------------------------------
