@@ -52,20 +52,24 @@ def _rows_from_report(report, expect: dict[str, bool]) -> list[dict]:
             for r in report.results]
 
 
-def _admit(path: str, max_group_order: int) -> Descriptor:
-    """Load a descriptor without validating its algebra and refuse a grading
-    group above the cap, so that no check runs on a refused input; a group
-    of order <= cap has at most floor(log2 cap) generators (moduli are >= 2),
-    so that bound is applied before any order is multiplied out."""
-    desc = load_descriptor(path, validate_algebra=False)
-    group = desc.group
-    if group.ngens >= max_group_order.bit_length():
+def _check_group_size(group: GradingGroup, cap: int):
+    """Refuse a grading group above the order cap; a group of order <= cap
+    has at most floor(log2 cap) generators (moduli are >= 2), so that bound
+    is applied before any order is multiplied out."""
+    if group.ngens >= cap.bit_length():
         raise CapExceededError(
             f"{_count(group.ngens)} group generators exceed the "
-            f"{max_group_order.bit_length() - 1} allowed by the cap {max_group_order}")
-    if group.is_finite and group.order > max_group_order:
-        raise CapExceededError(
-            f"group order {_count(group.order)} exceeds the cap {max_group_order}")
+            f"{cap.bit_length() - 1} allowed by the cap {cap}")
+    if group.is_finite and group.order > cap:
+        raise CapExceededError(f"group order {_count(group.order)} exceeds the cap {cap}")
+
+
+def _admit(path: str, max_group_order: int) -> Descriptor:
+    """Load a descriptor without validating its algebra and refuse a grading
+    group above the cap, so that no check runs on a refused input."""
+    desc = load_descriptor(path, validate_algebra=False)
+    group = desc.group
+    _check_group_size(group, max_group_order)
     if desc.factor is not None:  # b meets |g_i*h_j| <= 8 in the cqt sample, m^2 in qc
         m = max((abs(x) for _, g in (desc.algebra.basis if desc.algebra else [])
                  for x in g.coords[:group.free_rank]), default=0)
@@ -169,18 +173,22 @@ def _parse_matrix(text: str, name: str):
 
 
 def _build_from_args(args) -> Descriptor:
+    # no group above the cap that check and suite apply by default is built
     if args.builder == "truncated-poly":
+        if args.m >= 2:  # build_truncated_poly refuses a smaller m itself
+            _check_group_size(GradingGroup(0, (args.m,)), DEFAULT_MAX_GROUP_ORDER)
         algebra = build_truncated_poly(args.m)
         return Descriptor(algebra.group, None, algebra)
 
     N = args.N
     if N < 1:
         raise ValueError("N must be >= 1")
+    group = GradingGroup(N, ()) if args.n == 0 else GradingGroup(0, (args.n,) * N)
+    _check_group_size(group, DEFAULT_MAX_GROUP_ORDER)
     sigma = _parse_matrix(args.sigma, "sigma") if args.sigma else \
         [[0] * N for _ in range(N)]
     omega = _parse_matrix(args.omega, "omega") if args.omega else \
         [[0] * N for _ in range(N)]
-    group = GradingGroup(N, ()) if args.n == 0 else GradingGroup(0, (args.n,) * N)
     factor = factor_from_dict(group, {"sigma": sigma, "omega": omega, "q": args.q})
     if args.builder == "twisted-group-algebra":
         if args.n == 0:

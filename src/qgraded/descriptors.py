@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .algebras import GradedAlgebra
 from .commutation import CommutationFactor
-from .errors import DescriptorError, ScalarParseError
+from .errors import CapExceededError, DescriptorError, ScalarParseError
 from .groups import GradingGroup
 from .linalg import Vec
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -51,6 +51,8 @@ def _parse_scalar_field(text, where: str) -> Scalar:
         return parse_scalar(text)
     except ScalarParseError as exc:
         raise DescriptorError(f"{where}: {exc}") from exc
+    except CapExceededError as exc:
+        raise CapExceededError(f"{where}: {exc}") from exc
 
 
 def group_from_dict(d: dict) -> GradingGroup:

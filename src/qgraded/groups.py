@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GroupMismatchError, InfiniteGroupError
 
@@ -14,6 +14,10 @@ class GradingGroup:
 
     free_rank: int
     torsion: tuple[int, ...] = ()
+    # (coords, coords) -> their sum, filled by GroupElement.__add__ on a
+    # miss: it holds the sums asked for, never an up-front |G|^2 table
+    _sums: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -67,7 +71,8 @@ class GradingGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of a GradingGroup; torsion coordinates stored reduced."""
+    """Element of a GradingGroup; torsion coordinates stored reduced.
+    Immutable, so its hash is computed once."""
 
     group: GradingGroup
     coords: tuple[int, ...]
@@ -80,16 +85,22 @@ class GroupElement:
         r = group.free_rank
         object.__setattr__(self, "coords", coords[:r] + tuple(
             c % n for c, n in zip(coords[r:], group.torsion)))
+        object.__setattr__(self, "_hash", hash((group, self.coords)))
 
-    def _check(self, other: "GroupElement"):
-        if self.group != other.group:
-            raise GroupMismatchError(
-                f"elements of {self.group} and {other.group} cannot be combined")
+    def __hash__(self) -> int:
+        return self._hash
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        group = self.group
+        if other.group is not group and other.group != group:
+            raise GroupMismatchError(
+                f"elements of {group} and {other.group} cannot be combined")
+        key = (self.coords, other.coords)
+        out = group._sums.get(key)
+        if out is None:
+            out = group._sums[key] = GroupElement(
+                group, tuple(a + b for a, b in zip(*key)))
+        return out
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-c for c in self.coords))

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -254,7 +255,7 @@ def test_generate_refuses_huge_factor_values_before_any_power(
     assert capsys.readouterr().err == _CAP_TEXT
 
 
-_ZETA_CAP_TEXT = "error: cyclotomic order exceeds the cap 512\n"
+_ZETA_CAP_TEXT = "error: factor.q: cyclotomic order exceeds the cap 512\n"
 
 
 def _no_large_cyclotomic_orders(monkeypatch):
@@ -284,6 +285,24 @@ def test_check_and_suite_refuse_a_zeta_order_above_the_cap(
     assert main(["suite", str(scan), "--report", str(report)]) == 1
     [row] = json.loads(report.read_text())["rows"]
     assert row["error"] == _ZETA_CAP_TEXT[len("error: "):-1]
+
+
+def test_a_zeta_order_above_the_cap_is_named_by_its_field(tmp_path, monkeypatch,
+                                                         capsys):
+    data = json.loads((CORPUS / "twisted-z2-trivial.json").read_text())
+    data["algebra"]["products"][1]["result"][0]["coeff"] = "zeta(99991)"
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "probe.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _no_large_cyclotomic_orders(monkeypatch)
+    text = "algebra.products[1].result[0].coeff: cyclotomic order exceeds the cap 512"
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {text}\n"
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == text
 
 
 def test_generate_refuses_a_zeta_order_above_the_cap(monkeypatch, capsys):
@@ -424,6 +443,27 @@ def test_group_order_cap_bounds_the_generator_count(tmp_path, monkeypatch,
         assert code == 1
         [row] = json.loads(report.read_text())["rows"]
         assert row["error"] == text
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["twisted-group-algebra", "--n", "2", "--N", "14"],
+     "14 group generators exceed the 8 allowed by the cap 256"),
+    (["truncated-poly", "--m", "3000"], "group order 3000 exceeds the cap 256"),
+    (["b-symmetric", "--n", "2", "--N", "9"],
+     "9 group generators exceed the 8 allowed by the cap 256"),
+], ids=["Z2^14", "Z3000", "Z2^9"])
+def test_generate_refuses_a_group_that_check_would_refuse(tmp_path, monkeypatch,
+                                                          capsys, argv, text):
+    def refused(*args, **kwargs):
+        raise AssertionError("an algebra was built on a refused group")
+
+    monkeypatch.setattr(GradedAlgebra, "__init__", refused)
+    out = tmp_path / "x.json"
+    started = time.monotonic()
+    assert main(["generate", *argv, "--out", str(out)]) == 3
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -159,3 +159,64 @@ def test_tensor_element_equality_ignores_construction_order():
     a = TensorElement({(g, g): Scalar.one(), (h, h): Scalar.from_rational(2)})
     b = TensorElement({(h, h): Scalar.from_rational(2), (g, g): Scalar.one()})
     assert a == b
+
+
+def _coproduct_onto_the_identity(u):
+    """g -> g (x) e: coassociative and multiplicative, but not counital."""
+    e = u.group.identity()
+    return TensorElement({(g, e): c for (g,), c in u.terms.items()})
+
+
+_COUNIT = GroupAlgebraElement.counit
+_COPRODUCT = GroupAlgebraElement.coproduct
+_AT_ONE = ["hopf.counit-left", "hopf.counit-right", "hopf.antipode-left",
+           "hopf.antipode-right"]
+
+
+@pytest.mark.parametrize("group, attr, fake, failures", [
+    (GradingGroup(0, (4, 4)), "coproduct", _coproduct_onto_the_identity,
+     [("hopf.counit-left", "1*[(0,1)]"), ("hopf.antipode-left", "1*[(0,1)]"),
+      ("hopf.antipode-right", "1*[(0,1)]")]),
+    (GradingGroup(1, (3,)), "coproduct", _coproduct_onto_the_identity,
+     [("hopf.counit-left", "1*[(1,0)]"), ("hopf.antipode-left", "1*[(1,0)]"),
+      ("hopf.antipode-right", "1*[(1,0)]")]),
+    (GradingGroup(0, (4, 4)), "coproduct", lambda u: _COPRODUCT(u).scale(2),
+     [(c, "1*[(0,0)]") for c in _AT_ONE]
+     + [("hopf.coproduct-multiplicative", "1*[(0,0)], 1*[(0,0)]"),
+        ("hopf.unit-counit", "1")]),
+    (GradingGroup(0, (4, 4)), "counit", lambda u: _COUNIT(u) * 2,
+     [(c, "1*[(0,0)]") for c in _AT_ONE]
+     + [("hopf.counit-multiplicative", "1*[(0,0)], 1*[(0,0)]"),
+        ("hopf.unit-counit", "1")]),
+    (GradingGroup(1, (3,)), "counit", lambda u: _COUNIT(u) * 2,
+     [(c, "1*[(0,0)]") for c in _AT_ONE]
+     + [("hopf.counit-multiplicative", "1*[(0,0)], 1*[(0,0)]"),
+        ("hopf.unit-counit", "1")]),
+], ids=["g-to-g-e-on-Z4xZ4", "g-to-g-e-on-ZxZ3", "twice-coproduct-on-Z4xZ4",
+        "twice-counit-on-Z4xZ4", "twice-counit-on-ZxZ3"])
+def test_patched_element_maps_fail_the_laws_they_enter(monkeypatch, group, attr,
+                                                       fake, failures):
+    monkeypatch.setattr(GroupAlgebraElement, attr, fake)
+    report = check_hopf_axioms(group)
+    assert [(r.check_id, r.witness) for r in report.failures()] == failures
+
+
+def test_hopf_checks_evaluate_each_map_once_per_sample_element(monkeypatch):
+    calls = {"coproduct": 0, "counit": 0}
+
+    def counted(name, original):
+        def wrapper(u):
+            calls[name] += 1
+            return original(u)
+        return wrapper
+
+    monkeypatch.setattr(GroupAlgebraElement, "coproduct",
+                        counted("coproduct", _COPRODUCT))
+    monkeypatch.setattr(GroupAlgebraElement, "counit", counted("counit", _COUNIT))
+    group = GradingGroup(0, (4, 4))
+    size = len(default_sample(group))
+    assert size == 17
+    assert check_hopf_axioms(group).passed
+    # one per product, one per sample element, one per key in the laws
+    # that apply a map to one slot of a coproduct, one on the unit
+    assert max(calls.values()) <= size * size + 4 * size, calls

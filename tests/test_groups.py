@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,3 +107,68 @@ def test_torsion_validation():
 def test_order_of_infinite_group():
     with pytest.raises(InfiniteGroupError):
         GradingGroup(1).order
+
+
+def _reduced(group, coords):
+    r = group.free_rank
+    return tuple(coords[:r]) + tuple(c % n for c, n in zip(coords[r:], group.torsion))
+
+
+def _cqt_sample(group):
+    """The coquasitriangularity sample of an infinite group: the identity,
+    the generators, their inverses and their doubles."""
+    gens = group.generators()
+    return [group.identity()] + gens + [-g for g in gens] + [g + g for g in gens]
+
+
+@pytest.mark.parametrize("group, sample", [
+    (GradingGroup(0, (4, 2)), GradingGroup(0, (4, 2)).elements()),
+    (GradingGroup(1, (3,)), _cqt_sample(GradingGroup(1, (3,)))),
+], ids=["Z_4xZ_2", "ZxZ_3-cqt-sample"])
+def test_memoised_group_arithmetic_follows_the_coordinate_formulas(group, sample):
+    twin = GradingGroup(group.free_rank, group.torsion)
+    for _ in range(2):  # sums are built on the first pass, read from the memo on the second
+        for g in sample:
+            neg = _reduced(group, [-a for a in g.coords])
+            assert (-g).coords == neg
+            for h in sample:
+                for result, coords in [
+                        (g + h, [a + b for a, b in zip(g.coords, h.coords)]),
+                        (g - h, [a - b for a, b in zip(g.coords, h.coords)])]:
+                    assert result.coords == _reduced(group, coords)
+                    for fresh in (group.element(coords), twin.element(coords)):
+                        assert result == fresh and hash(result) == hash(fresh)
+
+
+def test_equal_groups_combine_and_foreign_groups_are_refused():
+    G, H = GradingGroup(1, (3,)), GradingGroup(1, (3,))
+    assert G is not H
+    g, h = G.element((1, 2)), H.element((2, 2))
+    assert g + h == h + g == G.element((3, 1)) == H.element((3, 1))
+    assert g - h == H.element((-1, 0))
+    g + G.element((1, 2))  # the memo now holds the pair ((1, 2), (1, 2))
+    foreign = GradingGroup(2).element((1, 2))
+    for op in (lambda: g + foreign, lambda: foreign + g, lambda: g - foreign):
+        with pytest.raises(GroupMismatchError):
+            op()
+
+
+def test_repr_of_an_element_is_unchanged():
+    g = GradingGroup(1, (3,)).element((2, 4))
+    text = "GroupElement(group=GradingGroup(free_rank=1, torsion=(3,)), coords={})"
+    assert repr(g) == text.format("(2, 1)")
+    assert repr(g + g) == text.format("(4, 2)")
+    assert repr(GradingGroup(0, (2,))) == "GradingGroup(free_rank=0, torsion=(2,))"
+
+
+def test_a_sum_in_a_huge_cyclic_group_takes_constant_memory():
+    G = GradingGroup(0, (10**9,))
+    g, h = G.element((123456789,)), G.element((999999999,))
+    tracemalloc.start()
+    try:
+        total = g + h
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.coords == (123456788,)
+    assert peak < 64 * 1024
