@@ -222,11 +222,10 @@ def coinvariants(algebra: GradedAlgebra) -> list[AlgebraElement]:
     # linear map a -> coaction(a) - a(x)e, expressed over keyed rows
     rows: dict[tuple, Vec] = {}
     for i in range(algebra.dim):
-        g = algebra.grade(i)
-        if g == e:
-            continue
-        rows.setdefault((i, g.coords), {})[i] = Scalar.one()
-        rows.setdefault((i, e.coords), {})[i] = Scalar.from_rational(-1)
+        column = coaction(algebra.basis_element(i)).terms
+        vec_add_at(column, (i, e), Scalar.from_rational(-1))
+        for key, c in column.items():
+            rows.setdefault(key, {})[i] = c
     basis = kernel_basis(list(rows.values()), algebra.dim)
     return [AlgebraElement(algebra, v) for v in basis]
 
@@ -274,19 +273,22 @@ class StrongGradingReport:
     missing: AlgebraElement | None = None
 
 
-def _product_span(algebra: GradedAlgebra, g: GroupElement, h: GroupElement,
-                  target_dim: int) -> Echelon:
-    """Span of the basis products A_g * A_h, stopped once its rank reaches
-    target_dim = dim A_{g+h}."""
-    span = Echelon()
-    for i in algebra.component(g):
-        for j in algebra.component(h):
-            prod = algebra.product_coords(i, j)
-            if prod:
-                span.add(prod)
-            if span.rank == target_dim:
-                return span
-    return span
+def _grade_pair_spans(algebra: GradedAlgebra, grades: list[GroupElement]):
+    """Yield (g, h, A_{g+h}, span of A_g * A_h) for each ordered pair of
+    grades with A_{g+h} != 0; each span stops growing once it fills A_{g+h}."""
+    for g in grades:
+        for h in grades:
+            target = algebra.component(g + h)
+            if not target:
+                continue
+            span = Echelon()
+            for i, j in itertools.product(algebra.component(g), algebra.component(h)):
+                prod = algebra.product_coords(i, j)
+                if prod:
+                    span.add(prod)
+                    if span.rank == len(target):
+                        break
+            yield g, h, target, span
 
 
 def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
@@ -297,18 +299,12 @@ def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
     """
     if not algebra.group.is_finite:
         raise InfiniteGroupError("strong-grading decision requires finite G")
-    elements = algebra.group.elements()
-    for g in elements:
-        for h in elements:
-            target = algebra.component(g + h)
-            if not target:
-                continue
-            span = _product_span(algebra, g, h, len(target))
-            if span.rank < len(target):
-                missing = next(
-                    algebra.basis_element(k) for k in target
-                    if not span.contains({k: Scalar.one()}))
-                return StrongGradingReport(False, (g, h), missing)
+    for g, h, target, span in _grade_pair_spans(algebra, algebra.group.elements()):
+        if span.rank < len(target):
+            missing = next(
+                algebra.basis_element(k) for k in target
+                if not span.contains({k: Scalar.one()}))
+            return StrongGradingReport(False, (g, h), missing)
     return StrongGradingReport(True)
 
 
@@ -327,15 +323,8 @@ class WindowEvidence:
 
 def strong_grading_window(algebra: GradedAlgebra) -> list[WindowEvidence]:
     """Per-pair span evidence over the grades present in the basis."""
-    out = []
-    grades = algebra.grades_present()
-    for g in grades:
-        for h in grades:
-            target = algebra.component(g + h)
-            if target:
-                span = _product_span(algebra, g, h, len(target))
-                out.append(WindowEvidence(g, h, span.rank == len(target)))
-    return out
+    return [WindowEvidence(g, h, span.rank == len(target))
+            for g, h, target, span in _grade_pair_spans(algebra, algebra.grades_present())]
 
 
 # -- builders --------------------------------------------------------------

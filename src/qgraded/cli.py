@@ -17,8 +17,8 @@ from .algebras import (build_b_symmetric_truncation, build_truncated_poly,
                        build_twisted_group_algebra, check_quantum_commutativity,
                        strong_grading_window)
 from .commutation import check_cqt_axioms
-from .descriptors import (Descriptor, dump_descriptor, factor_from_dict,
-                          load_descriptor)
+from .descriptors import (Descriptor, canonical_json, dump_descriptor,
+                          factor_from_dict, load_descriptor)
 from .errors import CapExceededError, DescriptorError, InfiniteGroupError
 from .galois import check_equivalence_theorem
 from .group_hopf import check_hopf_axioms
@@ -152,7 +152,7 @@ def cmd_check(args) -> int:
               "passed": all(r["passed"] for r in rows),
               "checks": rows}
     if args.report:
-        _write_json(args.report, report)
+        Path(args.report).write_text(canonical_json(report), encoding="utf-8")
     for r in rows:
         if args.verbose or not r["passed"]:
             mark = "PASS" if r["passed"] else "FAIL"
@@ -259,17 +259,11 @@ def cmd_suite(args) -> int:
               f"{cell(r['galois']):>6}  {cell(r['agree']):>5}  "
               f"{r['seconds']:>7.3f}" + (f"  ERROR: {r['error']}" if r["error"] else ""))
     if args.report:
-        _write_json(args.report, {
+        Path(args.report).write_text(canonical_json({
             "rows": [{k: v for k, v in r.items() if k != "seconds"}
-                     for r in rows]})
+                     for r in rows]}), encoding="utf-8")
     bad = any(r["error"] is not None or r["agree"] is False for r in rows)
     return 1 if bad else 0
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,8 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process: parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "max_group_order", 1) < 1:
         print("error: resource caps must be positive", file=sys.stderr)
         return 2

@@ -71,15 +71,20 @@ class CommutationFactor:
         self._gen = [[(minus_one ** sigma[i][j]) * (q ** omega[i][j])
                       for j in range(n)] for i in range(n)]
         self._cache: dict[tuple, Scalar] = {}
-        for t, n_i in enumerate(group.torsion):
-            i = group.free_rank + t
+        for i, n_i in enumerate(group.torsion, group.free_rank):
             for j in range(n):
-                # a value that is no root of unity has no power 1
-                if (self._height and omega[i][j]
-                        or not (self._gen[i][j] ** n_i).is_one()):
+                if not self._power_is_one(i, j, n_i):
                     raise ValueError(
                         f"factor is not well-defined on torsion coordinate {i} "
                         f"(modulus {n_i}): b(gen {i}, gen {j})^{n_i} != 1")
+
+    def _power_is_one(self, i: int, j: int, n: int) -> bool:
+        """b(xi_i, xi_j)^n == 1, with no power above 2m for a value in Q(zeta_m):
+        a value that is no root of unity has no power 1, a root of unity one | 2m."""
+        if self._height and self.omega[i][j]:
+            return False
+        x = self._gen[i][j]
+        return (x ** (n % (2 * x.order))).is_one()
 
     def check_value_size(self, reach: int):
         """Refuse, before any power is taken, values b(g, h) with all
@@ -161,10 +166,10 @@ def check_cqt_axioms(b: CommutationFactor,
     else:
         gens = group.generators()
         pool = [group.identity()] + gens + [-g for g in gens] + [g + g for g in gens]
-        els = list({g.coords: g for g in pool}.values())
-    n, ids = len(els), {g.coords: i for i, g in enumerate(els)}
-    add = [[ids.setdefault((h + k).coords, len(ids)) for k in els] for h in els]
-    pts = els + [group.element(c) for c in list(ids)[n:]]
+        els = list(dict.fromkeys(pool))
+    n, ids = len(els), {g: i for i, g in enumerate(els)}
+    add = [[ids.setdefault(h + k, len(ids)) for k in els] for h in els]
+    pts = list(ids)
     vals, vid, prod = [], {}, {}  # value id -> Scalar, stored form -> id, products
 
     def intern(s: Scalar) -> int:
@@ -227,9 +232,7 @@ def check_quotient_descent(b: CommutationFactor, n: int) -> DescentResult:
     N = b.group.free_rank
     for i in range(N):
         for j in range(N):
-            # as in the torsion descent; a root of unity in Q(zeta_m) has order | 2m
-            x = b.generator_value(i, j)
-            if b._height and b.omega[i][j] or not (x ** (n % (2 * x.order))).is_one():
+            if not b._power_is_one(i, j, n):
                 return DescentResult(False, n, witness=(i, j))
     target = GradingGroup(0, (n,) * N)
     induced = CommutationFactor(target, b.sigma, b.omega, b.q)

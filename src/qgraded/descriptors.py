@@ -205,9 +205,14 @@ def descriptor_to_dict(desc: Descriptor) -> dict:
     return out
 
 
+def canonical_json(data) -> str:
+    """The one text form of descriptors and reports: sorted keys, indent 2, final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def dump_descriptor(desc: Descriptor) -> str:
     """Canonical byte form; identical inputs produce identical text."""
-    return json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=True) + "\n"
+    return canonical_json(descriptor_to_dict(desc))
 
 
 def load_descriptor(path: str, validate_algebra: bool = True) -> Descriptor:

@@ -263,6 +263,33 @@ def test_window_evidence_for_a_non_spanned_pair(window_algebra):
         [((1,), (1,))]
 
 
+def test_strong_grading_adds_each_product_until_its_span_is_full(corpus, monkeypatch):
+    # the span of A_g * A_h stops growing once it fills A_{g+h}, which
+    # fixes the number of rows added over the corpus
+    calls = []
+    add = Echelon.add
+
+    def counting(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting)
+    for entry in corpus:
+        check_strong_grading(entry.algebra)
+    assert len(calls) == 1379
+
+
+def test_window_spans_every_pair_exactly_on_strong_corpus_algebras(corpus):
+    # with every grade present the window runs over the whole group, so it
+    # must reach the strong decision's verdict by the same spans
+    full = [e.algebra for e in corpus
+            if len(e.algebra.grades_present()) == e.algebra.group.order]
+    assert len(full) == len(corpus) - 1
+    for A in full:
+        assert all(w.spanned for w in strong_grading_window(A)) == \
+            check_strong_grading(A).strong, A
+
+
 # -- builders ----------------------------------------------------------------
 
 def test_twisted_builder_with_trivial_factor_is_group_algebra():

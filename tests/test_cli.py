@@ -54,6 +54,17 @@ def test_check_expected_failure_mode(tmp_path):
     assert main(["check", str(path), "--expect", "strong"]) == 1
 
 
+def test_in_process_checks_share_one_parser_and_no_expectations(tmp_path, monkeypatch):
+    # the parser is built once per process, so no call builds another
+    monkeypatch.setattr("qgraded.cli.build_parser",
+                        lambda: pytest.fail("main built a parser"))
+    path = write_entry(tmp_path, "truncated-poly-m2")
+    assert main(["check", str(path), "--expect", "not-strong"]) == 0
+    # no call inherits an earlier call's --expect list
+    assert main(["check", str(path)]) == 1
+    assert main(["check", str(path), "--expect", "not-strong"]) == 0
+
+
 def test_check_malformed_scalar_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

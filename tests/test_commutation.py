@@ -324,6 +324,40 @@ def test_descent_takes_no_power_above_twice_the_order_of_a_root_of_unity(monkeyp
     result = check_quotient_descent(b, 10 ** 9 + 2)
     assert not result.descends and result.witness == (0, 1)
     assert check_quotient_descent(b, 2).witness == (0, 1)
+    # the constructor's torsion condition is the same test
+    with pytest.raises(ValueError, match=r"gen 0, gen 1\)\^1000000002 != 1"):
+        standard_factor(GradingGroup(0, (10 ** 9 + 2,) * 2), [[0, 1], [1, 0]],
+                        [[0, 1], [-1, 0]], root_of_unity(4))
+
+
+def _order(x):
+    """Multiplicative order of x if it is at most 24, else None; every root
+    of unity in the grid below has order dividing 12."""
+    return next((t for t in range(1, 25) if (x ** t).is_one()), None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 10 ** 9])
+@pytest.mark.parametrize("q", [Scalar.one(), Scalar.from_rational(-1), root_of_unity(3),
+                               root_of_unity(4), Scalar.from_rational(2)],
+                         ids=["1", "-1", "zeta3", "zeta4", "2"])
+def test_descent_holds_exactly_when_the_factor_builds_on_the_quotient(q, n):
+    for s00, s01, s11 in itertools.product((0, 1), repeat=3):
+        for w in (0, 1, -1, 2, -2):
+            sigma, omega = [[s00, s01], [s01, s11]], [[0, w], [-w, 0]]
+            b = standard_factor(GradingGroup(2), sigma, omega, q)
+            failing = [(i, j) for i in range(2) for j in range(2)
+                       if (k := _order(b.generator_value(i, j))) is None or n % k]
+            result = check_quotient_descent(b, n)
+            try:
+                standard_factor(GradingGroup(0, (n, n)), sigma, omega, q)
+            except ValueError as exc:
+                assert not result.descends
+                i, j = failing[0]
+                assert f"b(gen {i}, gen {j})^{n} != 1" in str(exc)
+            else:
+                assert result.descends
+            assert result.descends == (not failing)
+            assert result.witness == (failing[0] if failing else None)
 
 
 def test_descent_trivial_factor_always_descends():

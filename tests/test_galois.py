@@ -20,6 +20,7 @@ from qgraded.errors import (CapExceededError, InfiniteGroupError,
 from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
                             canonical_map, check_equivalence_theorem,
                             is_galois, relative_tensor)
+from qgraded.group_hopf import TensorElement
 from qgraded.groups import GradingGroup
 from qgraded.linalg import Echelon, rref, vec_add_scaled
 from qgraded.scalars import Scalar, root_of_unity
@@ -247,6 +248,17 @@ def test_twisted_group_algebras_build_no_relation_rows(monkeypatch):
             assert chain.space(k).relations == []
             assert chain.space(k).dim == A.dim ** (k + 1)
     assert calls == []
+
+
+def test_relative_chain_rechecks_coinvariants_through_the_coaction(monkeypatch):
+    # a coaction that sends every basis vector x to x (x) e makes the whole
+    # algebra coinvariant, which the re-check must refuse
+    A = build_group_algebra(GradingGroup(0, (2,)))
+    e = A.group.identity()
+    monkeypatch.setattr("qgraded.algebras.coaction", lambda x: TensorElement(
+        {(i, e): c for i, c in x.coords.items()}))
+    with pytest.raises(InternalConsistencyError, match="coinvariants disagree"):
+        RelativeChain(A)
 
 
 _CHANGE_OF_BASIS = {

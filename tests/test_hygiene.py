@@ -1,0 +1,73 @@
+"""Dead-symbol guard for the package, written on the standard library's ast:
+every top-level import of a module is used in it, and every private name
+the package defines is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgraded"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _references(tree):
+    """(name, node) for every name a node reads: names, attributes, names
+    imported from elsewhere and strings (getattr and friends)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def _definitions(tree):
+    """(name, node) for every function and class, and every name assigned
+    at module or class level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            for stmt in node.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+                           [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield target.id, stmt
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_name_is_referenced_outside_its_definition():
+    refs = [ref for tree in TREES.values() for ref in _references(tree)]
+    dead = []
+    for name, tree in TREES.items():
+        for symbol, node in _definitions(tree):
+            if not _private(symbol):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(r == symbol and id(n) not in inside for r, n in refs):
+                dead.append(f"{name}: {symbol}")
+    assert dead == []
