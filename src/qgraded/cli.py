@@ -13,9 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .algebras import (build_b_symmetric_truncation, build_truncated_poly,
-                       build_twisted_group_algebra, check_quantum_commutativity,
-                       strong_grading_window)
+from .algebras import (b_symmetric_dim, build_b_symmetric_truncation,
+                       build_truncated_poly, build_twisted_group_algebra,
+                       check_quantum_commutativity, strong_grading_window)
 from .commutation import check_cqt_axioms
 from .descriptors import (Descriptor, canonical_json, dump_descriptor,
                           factor_from_dict, load_descriptor)
@@ -25,6 +25,8 @@ from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
 
 DEFAULT_MAX_GROUP_ORDER = 256
+# the default group cap, so a twisted group algebra at that cap stays admissible
+MAX_ALGEBRA_DIM = 256
 
 EXPECT_TOKENS = {
     "strong": ("grading.strong", True),
@@ -64,10 +66,19 @@ def _check_group_size(group: GradingGroup, cap: int):
         raise CapExceededError(f"group order {_count(group.order)} exceeds the cap {cap}")
 
 
+def _check_algebra_dim(dim: int):
+    if dim > MAX_ALGEBRA_DIM:
+        raise CapExceededError(
+            f"algebra dimension {_count(dim)} exceeds the cap {MAX_ALGEBRA_DIM}")
+
+
 def _admit(path: str, max_group_order: int) -> Descriptor:
-    """Load a descriptor without validating its algebra and refuse a grading
-    group above the cap, so that no check runs on a refused input."""
+    """Load a descriptor without validating its algebra and refuse an
+    algebra or a grading group above its cap, so that no check runs on a
+    refused input."""
     desc = load_descriptor(path, validate_algebra=False)
+    if desc.algebra is not None:
+        _check_algebra_dim(desc.algebra.dim)
     group = desc.group
     _check_group_size(group, max_group_order)
     if desc.factor is not None:  # b meets |g_i*h_j| <= 8 in the cqt sample, m^2 in qc
@@ -173,10 +184,12 @@ def _parse_matrix(text: str, name: str):
 
 
 def _build_from_args(args) -> Descriptor:
-    # no group above the cap that check and suite apply by default is built
+    # no group or algebra above the caps that check and suite apply by
+    # default is built
     if args.builder == "truncated-poly":
         if args.m >= 2:  # build_truncated_poly refuses a smaller m itself
             _check_group_size(GradingGroup(0, (args.m,)), DEFAULT_MAX_GROUP_ORDER)
+            _check_algebra_dim(args.m)
         algebra = build_truncated_poly(args.m)
         return Descriptor(algebra.group, None, algebra)
 
@@ -196,6 +209,7 @@ def _build_from_args(args) -> Descriptor:
         algebra = build_twisted_group_algebra(group, factor)
     else:
         factor.check_value_size(args.max_degree ** 2)
+        _check_algebra_dim(b_symmetric_dim(factor, args.max_degree))
         algebra = build_b_symmetric_truncation(factor, args.max_degree)
     return Descriptor(group, factor, algebra)
 

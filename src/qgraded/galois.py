@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import GradedAlgebra, StrongGradingReport, \
-    check_strong_grading, coinvariants
+    check_strong_grading, coinvariants, word_closure
 from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
-from .linalg import Echelon, LinearMap, Vec, rref, vec_add_at
+from .linalg import LinearMap, Vec, rref, vec_add_at
 from .reports import combination_text
 from .scalars import Scalar
 
@@ -70,9 +70,8 @@ class RelativeChain:
 
     T_0 is the algebra itself; T_k is (T_{k-1} tensor A) modulo the
     balanced relations t*x (x) y - t (x) x*y with x running over
-    generators of the subalgebra: basis vectors picked greedily, each one
-    skipped when it already lies in the span of words in those picked
-    before it.  Spaces are built on demand and cached.
+    generators of the subalgebra, which `word_closure` picks from its
+    basis vectors.  Spaces are built on demand and cached.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -83,27 +82,12 @@ class RelativeChain:
         if sorted(i for v in coinv for i in v.coords) != sorted(self.sub):
             raise InternalConsistencyError(
                 "coinvariants disagree with the identity-grade component")
-        self.generators: list[int] = []
-        words = self._words()
-        for x in self.sub:
-            if not words.contains({x: Scalar.one()}):
-                self.generators.append(x)
-                words = self._words()
+        self.generators, words = word_closure(algebra, self.sub)
         if words.rank != len(self.sub) or any(
                 i not in self.sub for row in words.pivot_rows.values() for i in row):
             raise InternalConsistencyError(
                 "generators of the identity-grade component do not span it")
         self._spaces: dict[int, QuotientSpace] = {}
-
-    def _words(self) -> Echelon:
-        """Span of 1 closed under right multiplication by the generators."""
-        A = self.algebra
-        words, todo = Echelon(), [A.unit]
-        while todo:
-            w = todo.pop()
-            if words.add(w):
-                todo += [A.multiply(w, {x: Scalar.one()}) for x in self.generators]
-        return words
 
     def space(self, k: int) -> QuotientSpace:
         if k < 1:

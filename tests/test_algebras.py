@@ -1,3 +1,4 @@
+import itertools
 import operator
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qgraded.algebras import (AlgebraElement, GradedAlgebra,
                               build_b_symmetric_truncation,
-                              build_group_algebra, build_truncated_poly,
+                              b_symmetric_dim, build_group_algebra,
+                              build_truncated_poly,
                               build_twisted_group_algebra,
                               check_quantum_commutativity,
                               check_strong_grading, coaction, coinvariants,
-                              strong_grading_window)
+                              strong_grading_window, word_closure)
 from qgraded.commutation import standard_factor, trivial_factor
 from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import GroupMismatchError, InfiniteGroupError
@@ -418,8 +420,9 @@ def test_fermionic_generators_square_to_zero(s00, s11, s01, w, deg):
 
 
 def test_cocycle_associativity_up_to_order_81():
-    # Z_3^4 has order 81; construction itself validates all 81^3 basis
-    # triples exactly and raises on any failure
+    # Z_3^4 has order 81; construction itself proves associativity
+    # exactly on the 81^2 * 4 triples ending in one of the four generators
+    # (the whole cube only on a failure) and raises on any failure
     G = GradingGroup(0, (3, 3, 3, 3))
     omega = [[0, 1, 0, -1], [-1, 0, 2, 0], [0, -2, 0, 1], [1, 0, -1, 0]]
     sigma = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]
@@ -484,3 +487,90 @@ def test_validation_report_gives_the_first_witness_of_each_check(
         "algebra.homogeneity", "algebra.unit", "algebra.associativity"]
     assert [r.witness for r in report.results] == witnesses
     assert [r.passed for r in report.results] == [w is None for w in witnesses]
+
+
+# -- associativity on generator triples ------------------------------------
+
+def _first_nonassociative_triple(A):
+    """Full-cube reference: the first basis triple (i, j, k), in that
+    order, with (xy)z != x(yz), by a naive loop over `multiply`."""
+    e = [{i: Scalar.one()} for i in range(A.dim)]
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        if A.multiply(A.multiply(e[i], e[j]), e[k]) != \
+                A.multiply(e[i], A.multiply(e[j], e[k])):
+            return (f"({A.label(i)}*{A.label(j)})*{A.label(k)} "
+                    f"!= {A.label(i)}*({A.label(j)}*{A.label(k)})")
+    return None
+
+
+def _perturbations(A):
+    """Copies of A with one product entry scaled by 2, deleted or bumped by
+    1, on a spread of the pairs that leave the unit laws intact."""
+    entries = [(ij, k) for ij, v in A.products.items() for k in v
+               if not set(ij) & set(A.unit)]
+    two, one = Scalar.from_rational(2), Scalar.one()
+    for ij, k in entries[::max(1, len(entries) // 5)]:
+        for change in (lambda c: c * two, lambda c: Scalar.zero(),
+                       lambda c: c + one):
+            products = {key: dict(v) for key, v in A.products.items()}
+            products[ij][k] = change(products[ij][k])
+            yield GradedAlgebra(A.group, A.basis, products, A.unit,
+                                validate=False)
+
+
+def test_generator_triples_agree_with_the_full_cube(corpus):
+    algebras = [e.algebra for e in corpus if e.algebra.dim <= 16]
+    algebras += [P for A in algebras for P in _perturbations(A)]
+    verdicts = []
+    for A in algebras:
+        report = A.validation_report()
+        # the perturbations keep homogeneity and the unit laws
+        assert [r.witness for r in report.results[:2]] == [None, None]
+        witness = _first_nonassociative_triple(A)
+        assert report.result("algebra.associativity").witness == witness
+        assert report.passed is (witness is None)
+        verdicts.append(witness is None)
+    assert len(verdicts) > 500
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
+class _CountingProducts(dict):
+    def __init__(self, products):
+        super().__init__(products)
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_validation_looks_up_about_dim_squared_times_generators_products():
+    P = build_truncated_poly(64)
+    A = GradedAlgebra(P.group, P.basis, P.products, P.unit, validate=False)
+    A.products = _CountingProducts(A.products)
+    assert A.validation_report().passed
+    # the whole cube makes about 2 * 64^3 = 524,288 lookups
+    assert A.products.gets <= 6 * 64 ** 2
+
+
+@pytest.mark.parametrize("make, generators", [
+    (lambda: build_truncated_poly(2), [1]),
+    (lambda: build_truncated_poly(64), [1]),
+    (lambda: build_group_algebra(GradingGroup(0, (3, 3, 3, 3))), [1, 3, 9, 27]),
+], ids=["x^2", "x^64", "Z3^4"])
+def test_word_closure_picks_few_generators(make, generators):
+    A = make()
+    picked, words = word_closure(A, range(A.dim))
+    assert picked == generators
+    assert words.rank == A.dim
+
+
+@pytest.mark.parametrize("bosons, fermions", [(1, 0), (0, 1), (2, 0), (1, 1),
+                                              (0, 2), (2, 1), (1, 2), (0, 3)])
+def test_b_symmetric_dim_counts_the_basis(bosons, fermions):
+    N = bosons + fermions
+    G = GradingGroup(N, ())
+    sigma = [[int(i == j and i >= bosons) for j in range(N)] for i in range(N)]
+    b = standard_factor(G, sigma, [[0] * N for _ in range(N)], Scalar.one())
+    for d in range(1, 5):
+        assert b_symmetric_dim(b, d) == build_b_symmetric_truncation(b, d).dim

@@ -477,6 +477,63 @@ def test_generate_refuses_a_group_that_check_would_refuse(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, dim", [
+    (["b-symmetric", "--n", "0", "--N", "1", "--max-degree", "600"], 601),
+    # the builder would enumerate 601^8 exponent tuples
+    (["b-symmetric", "--n", "0", "--N", "8", "--max-degree", "600"],
+     442206334804720596),
+    (["b-symmetric", "--n", "0", "--N", "2", "--max-degree", "22"], 276),
+], ids=["Z-600", "Z8-600", "Z2-22"])
+def test_generate_refuses_an_algebra_above_the_dimension_cap(
+        tmp_path, monkeypatch, capsys, argv, dim):
+    def refused(*args, **kwargs):
+        raise AssertionError("an algebra was built above the dimension cap")
+
+    monkeypatch.setattr(GradedAlgebra, "__init__", refused)
+    monkeypatch.setattr("qgraded.cli.build_b_symmetric_truncation", refused)
+    out = tmp_path / "x.json"
+    started = time.monotonic()
+    assert main(["generate", *argv, "--out", str(out)]) == 3
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().err == \
+        f"error: algebra dimension {dim} exceeds the cap 256\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_algebra_dimension_cap_is_applied_before_any_check(
+        tmp_path, monkeypatch, capsys, command):
+    # dimension 257 over the trivial group: the unit and 256 vectors e_i
+    group = GradingGroup(0, ())
+    e, one = group.identity(), Scalar.one()
+    basis = [("1", e)] + [(f"e{i}", e) for i in range(1, 257)]
+    products = {(0, i): {i: one} for i in range(257)}
+    products.update({(i, 0): {i: one} for i in range(1, 257)})
+    algebra = GradedAlgebra(group, basis, products, {0: one}, validate=False)
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "dim-257.json"
+    path.write_text(dump_descriptor(Descriptor(group, None, algebra)),
+                    encoding="utf-8")
+
+    def refused(*args):
+        raise AssertionError("a check ran on a refused descriptor")
+
+    monkeypatch.setattr("qgraded.cli.check_hopf_axioms", refused)
+    monkeypatch.setattr(GradedAlgebra, "validation_report", refused)
+    report = tmp_path / "report.json"
+    target = path if command == "check" else scan
+    code = main([command, str(target), "--report", str(report)])
+    text = "algebra dimension 257 exceeds the cap 256"
+    if command == "check":
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {text}\n"
+    else:
+        assert code == 1
+        [row] = json.loads(report.read_text())["rows"]
+        assert row["error"] == text
+
+
 @pytest.mark.parametrize("text, reason", [
     ('{"group": {"torsion": [%s]}}' % ("7" * 5000), "integer string conversion"),
     ('{"group": ' + "[" * 1000 + "]" * 1000 + "}", "recursion depth"),

@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,6 +226,34 @@ def test_generator_rows_give_the_basis_rows_quotient(corpus):
         _kz6_over_z2_on_a_non_power_basis(), 2)
     assert chain.sub == [0, 1, 2]
     assert chain.generators == [0, 2]
+
+
+def _load_perfbench_inputs(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is created
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generators_of_the_identity_component_are_unchanged(corpus, monkeypatch):
+    # recorded before the generator choice moved onto `word_closure`
+    assert {e.name: RelativeChain(e.algebra).generators for e in corpus
+            if RelativeChain(e.algebra).generators} == {
+        "trivially-graded-kZ2": [1], "quotient-graded-kZ4-over-Z2": [2],
+        "quotient-graded-kZ6-over-Z3": [3], "deleted-product-fixture": [0]}
+    # every beta-dense input (seed 1000) picks the basis vector g^d or x^d
+    # right after the unit in its identity component
+    recorded = {"kZ6-over-Z2": [2], "kZ8-over-Z2": [2], "kZ9-over-Z3": [3],
+                "kZ12-over-Z4": [4], "x^6-over-Z2": [2], "x^8-over-Z2": [2],
+                "x^9-over-Z3": [3], "x^12-over-Z3": [3]}
+    dense = _load_perfbench_inputs(monkeypatch).dense_inputs(1000)
+    assert len(dense) == 40
+    for entry in dense:
+        family = entry.name.split("/")[0]
+        assert RelativeChain(entry.algebra).generators == recorded[family]
 
 
 def test_twisted_group_algebras_build_no_relation_rows(monkeypatch):
