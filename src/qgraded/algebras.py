@@ -38,6 +38,7 @@ class GradedAlgebra:
                  validate: bool = True, name: str | None = None):
         self.group = group
         self.basis = list(basis)
+        self.dim = len(self.basis)
         self.products = {k: {i: c for i, c in v.items() if not c.is_zero()}
                          for k, v in products.items()}
         self.products = {k: v for k, v in self.products.items() if v}
@@ -53,10 +54,6 @@ class GradedAlgebra:
             if not report.passed:
                 fail = report.failures()[0]
                 raise ValueError(f"invalid algebra ({fail.check_id}): {fail.witness}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def label(self, i: int) -> str:
         return self.basis[i][0]
@@ -372,15 +369,20 @@ def strong_grading_window(algebra: GradedAlgebra) -> list[WindowEvidence]:
 # -- builders --------------------------------------------------------------
 
 
-def _crossing_cocycle(b: CommutationFactor, g_coords, h_coords) -> Scalar:
-    # ordered factorization: commute crossing generator pairs (i > j) only
+def _crossing_cocycle(b: CommutationFactor, g_coords, h_coords, powers: dict) -> Scalar:
+    # ordered factorization: commute crossing generator pairs (i > j) only;
+    # powers memoizes b(xi_i, xi_j)^e by (i, j, e) for one builder call
     value = Scalar.one()
     for i, gi in enumerate(g_coords):
         if gi:
             for j in range(i):
                 hj = h_coords[j]
                 if hj:
-                    value = value * (b.generator_value(i, j) ** (gi * hj))
+                    key = (i, j, gi * hj)
+                    power = powers.get(key)
+                    if power is None:
+                        power = powers[key] = b.generator_value(i, j) ** key[2]
+                    value = value * power
     return value
 
 
@@ -401,9 +403,10 @@ def build_twisted_group_algebra(group: GradingGroup,
     index = {g.coords: i for i, g in enumerate(elements)}
     basis = [(f"u{g}", g) for g in elements]
     products: dict[tuple[int, int], Vec] = {}
+    powers: dict[tuple[int, int, int], Scalar] = {}
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
-            c = _crossing_cocycle(b, g.coords, h.coords)
+            c = _crossing_cocycle(b, g.coords, h.coords, powers)
             products[(i, j)] = {index[(g + h).coords]: c}
     unit = {index[group.identity().coords]: Scalar.one()}
     return GradedAlgebra(group, basis, products, unit,
@@ -480,6 +483,7 @@ def build_b_symmetric_truncation(b: CommutationFactor,
     basis = [(_monomial_label(names, e), group.element(e)) for e in monomials]
 
     products: dict[tuple[int, int], Vec] = {}
+    powers: dict[tuple[int, int, int], Scalar] = {}
     for ia, a in enumerate(monomials):
         for ic, c in enumerate(monomials):
             total = tuple(x + y for x, y in zip(a, c))
@@ -487,6 +491,6 @@ def build_b_symmetric_truncation(b: CommutationFactor,
                 continue
             if any(fermionic[i] and total[i] >= 2 for i in range(N)):
                 continue
-            products[(ia, ic)] = {index[total]: _crossing_cocycle(b, a, c)}
+            products[(ia, ic)] = {index[total]: _crossing_cocycle(b, a, c, powers)}
     return GradedAlgebra(group, basis, products, {index[(0,) * N]: Scalar.one()},
                          name=f"b-symmetric truncation deg<={max_degree}")

@@ -52,8 +52,13 @@ class QuotientSpace:
 
     def project(self, ambient_vec: Vec) -> Vec:
         """Class of an ambient vector in quotient coordinates."""
+        return self._project(ambient_vec, 0)
+
+    def _project(self, vec: Vec, offset: int) -> Vec:
+        # project() of the vector with c at offset + a for each a: c of vec
         out: Vec = {}
-        for a, c in ambient_vec.items():
+        for a, c in vec.items():
+            a += offset
             prow = self._pivot_rows.get(a)
             if prow is None:
                 vec_add_at(out, self._qindex[a], c)
@@ -134,11 +139,7 @@ class RelativeChain:
             return A.product_coords(class_idx, j)
         space = self.space(k)
         cprev, m = divmod(space.basis_ambient[class_idx], A.dim)
-        mj = A.product_coords(m, j)
-        if not mj:
-            return {}
-        amb: Vec = {cprev * A.dim + t: coeff for t, coeff in mj.items()}
-        return space.project(amb)
+        return space._project(A.product_coords(m, j), cprev * A.dim)
 
 
 def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:

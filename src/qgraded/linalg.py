@@ -54,13 +54,16 @@ class Echelon:
 
     def reduce(self, row: Vec) -> Vec:
         """Forward-eliminate a vector; the residue is zero iff the vector
-        lies in the row space."""
-        row = dict(row)  # the only copy: the argument stays unchanged
+        lies in the row space.  The argument is copied before the first
+        elimination step, so it stays unchanged and may be the residue."""
+        owned = False
         while row:
             lead = min(row)
             prow = self.pivot_rows.get(lead)
             if prow is None:
                 return row
+            if not owned:
+                row, owned = dict(row), True
             vec_add_scaled(row, prow, -row[lead])
         return row
 
@@ -68,7 +71,8 @@ class Echelon:
         return not self.reduce(row)
 
     def add(self, row: Vec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.  The
+        stored pivot row is always a new dict, never the caller's."""
         row = self.reduce(row)
         if not row:
             return False

@@ -125,13 +125,13 @@ class Scalar:
         return cls._make(order, [c.numerator * (den // c.denominator)
                                  for c in coeffs], den)
 
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls(1, (0,), 1)
+    @staticmethod
+    def zero() -> "Scalar":
+        return _ZERO
 
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls(1, (1,), 1)
+    @staticmethod
+    def one() -> "Scalar":
+        return _ONE
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -222,9 +222,16 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a canonical operand times the rational 1 is already canonical
+        if other.den == 1 and other.nums == (1,):
+            return self
+        if self.den == 1 and self.nums == (1,):
+            return other
         den = self.den * other.den
         if self.order == other.order == 1:
-            return Scalar._make(1, [self.nums[0] * other.nums[0]], den)
+            num = self.nums[0] * other.nums[0]
+            g = math.gcd(num, den)
+            return Scalar(1, (num // g,), den // g)
         r, s = (self, other) if self.order == 1 else (other, self)
         if r.order == 1:  # a rational factor scales every numerator
             return Scalar._make(s.order, [r.nums[0] * y for y in s.nums], den)
@@ -321,6 +328,10 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)!r})"
+
+
+_ZERO = Scalar(1, (0,), 1)
+_ONE = Scalar(1, (1,), 1)
 
 
 def _polymul(a, b) -> list[int]:

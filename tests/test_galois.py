@@ -174,6 +174,42 @@ def test_projection_kills_exactly_the_relations(corpus):
             assert space.project({amb: Scalar.one()}) == {q: Scalar.one()}
 
 
+def test_a_quotient_keeps_its_relation_rows_unchanged_and_unshared():
+    one, two = Scalar.one(), Scalar.from_rational(2)
+    rows = [{2: one}, {}, {0: one, 2: two}, {2: two}, {1: root_of_unity(3)}]
+    before = copy.deepcopy(rows)
+    space = QuotientSpace(4, rows)
+    assert rows == before
+    assert space.relations == [r for r in before if r]
+    assert not {id(r) for r in rows} & {id(p) for p in space._pivot_rows.values()}
+    assert space.basis_ambient == [3]
+
+
+@pytest.mark.parametrize("make", [_quotient_graded_in_a_cyclotomic_basis,
+                                  _kz6_over_z2_on_a_non_power_basis,
+                                  _truncated_poly_over_z2])
+def test_relation_rows_survive_elimination_and_the_step_check(make, monkeypatch):
+    # _verify_step reads `relations` after rref has eliminated them, and
+    # beta^n and the witnesses run after that: no step may write into them
+    given = []
+    init = QuotientSpace.__init__
+
+    def recording(self, ambient_dim, relation_rows):
+        given.append((self, copy.deepcopy(relation_rows),
+                      {id(r) for r in relation_rows}))
+        init(self, ambient_dim, relation_rows)
+
+    monkeypatch.setattr(QuotientSpace, "__init__", recording)
+    A = make()
+    chain = RelativeChain(A)
+    is_galois(A, chain)
+    beta_n(A, 2, chain=chain)
+    assert [len(rows) > 0 for _, rows, _ in given] == [True, True]
+    for space, rows, ids in given:
+        assert space.relations == [r for r in rows if r]
+        assert not ids & {id(p) for p in space._pivot_rows.values()}
+
+
 def _balanced_pairs(chain, k):
     """(t*x (x) y, t (x) x*y) in the ambient space of T_k for every class t
     of T_(k-1), every basis vector x of the subalgebra and every y."""

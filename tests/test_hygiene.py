@@ -1,6 +1,7 @@
 """Dead-symbol guard for the package, written on the standard library's ast:
-every top-level import of a module is used in it, and every private name
-the package defines is referenced somewhere in the package."""
+every top-level import of a module is used in it, every private name
+the package defines is referenced somewhere in the package, and only the
+scalar module constructs a Scalar directly."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,13 @@ def test_every_private_name_is_referenced_outside_its_definition():
             if not any(r == symbol and id(n) not in inside for r, n in refs):
                 dead.append(f"{name}: {symbol}")
     assert dead == []
+
+
+def test_scalars_are_constructed_only_in_the_scalar_module():
+    # new values come from its one normaliser or its shared constants; the
+    # rest of the package combines existing scalars through their operators
+    outside = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+               if name != "scalars.py" for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "Scalar"]
+    assert outside == []

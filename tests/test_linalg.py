@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -189,3 +190,31 @@ def test_reduce_leaves_its_argument_unchanged():
     residue = ech.reduce(row)
     assert residue == vec(c1=-1, c2=1)
     assert row == vec(c0=2, c1=1, c2=1)
+
+
+# sparse rows over five columns, many with a single entry: those reduce
+# without any elimination step and take the lone-pivot path of `add`
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                    .filter(bool).map(Scalar.from_rational),
+                    min_size=0, max_size=3),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows)
+@example([vec(c2=1), vec(c2=3), vec(c0=1, c2=2), {}])
+def test_elimination_never_changes_or_stores_its_input_rows(rows):
+    before = copy.deepcopy(rows)
+    ids = {id(r) for r in rows}
+    built = [echelon(rows), rref(rows)]
+    ech = Echelon()
+    for row in rows:
+        ech.contains(row)
+        ech.add(row)
+        ech.contains(row)
+    built.append(ech)
+    assert rows == before
+    for e in built:
+        assert not ids & {id(p) for p in e.pivot_rows.values()}

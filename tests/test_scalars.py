@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgraded.errors import CapExceededError, ScalarParseError
-from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, cyclotomic_polynomial,
+from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, _polymul, cyclotomic_polynomial,
                              format_scalar, parse_scalar, root_of_unity)
 
 DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 8: 4, 12: 4}
@@ -340,3 +340,60 @@ def test_cross_order_equality_and_hash_agree_with_oracle(a, b, m):
         assert (x == y) == (_oracle(x) == _oracle(y))
         if _oracle(x) == _oracle(y):
             assert hash(x) == hash(y)
+
+
+# -- multiplication fast paths against the general path ----------------------
+#
+# A product with the rational 1 returns the other operand and a product of
+# two rationals is normalised inline; both must give the exact stored form
+# of the general path: lift to Q(zeta_lcm), multiply polynomials, normalise.
+
+FAST_PATH_ORDERS = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+
+
+def _general_product(x, y):
+    m, a, b = x._common(y)
+    return Scalar._make(m, _polymul(a, b), x.den * y.den)
+
+
+@st.composite
+def fast_path_operands(draw):
+    n = draw(st.sampled_from(sorted(FAST_PATH_ORDERS)))
+    return draw(st.one_of(
+        st.sampled_from([Scalar.one(), Scalar.from_rational(-1)]),
+        small_fractions.map(Scalar.from_rational),
+        st.lists(small_fractions, min_size=FAST_PATH_ORDERS[n],
+                 max_size=FAST_PATH_ORDERS[n]).map(
+            lambda coeffs: Scalar.cyclotomic(n, coeffs))))
+
+
+@given(fast_path_operands(), fast_path_operands())
+def test_products_match_the_general_path_in_both_orders(x, y):
+    for a, b in ((x, y), (y, x)):
+        product, general = a * b, _general_product(a, b)
+        assert product == general
+        assert (product.order, product.nums, product.den) == \
+            (general.order, general.nums, general.den)
+        _assert_canonical(product)
+
+
+def test_a_product_with_the_rational_one_is_the_other_operand():
+    assert Scalar.one() is Scalar.one()
+    assert Scalar.zero() is Scalar.zero()
+    z4 = root_of_unity(4)
+    for product in (Scalar.one() * z4, z4 * Scalar.one(), 1 * z4, z4 * 1):
+        assert product is z4
+        assert product.order == 4
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert Scalar.one() * half is half and half * Scalar.one() is half
+    # the shared one is not changed by arithmetic on it
+    assert -Scalar.one() == -1 and Scalar.one() + Scalar.one() == 2
+    assert (Scalar.one().order, Scalar.one().nums, Scalar.one().den) == (1, (1,), 1)
+    assert (Scalar.zero().order, Scalar.zero().nums, Scalar.zero().den) == (1, (0,), 1)
+
+
+def test_a_product_of_two_rationals_is_reduced_by_one_gcd():
+    a, b = Scalar.from_rational(Fraction(4, 9)), Scalar.from_rational(Fraction(-3, 2))
+    assert ((a * b).order, (a * b).nums, (a * b).den) == (1, (-2,), 3)
+    zero = Scalar.from_rational(0) * Scalar.from_rational(Fraction(5, 7))
+    assert (zero.nums, zero.den) == ((0,), 1)
