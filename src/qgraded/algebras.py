@@ -400,16 +400,14 @@ def build_twisted_group_algebra(group: GradingGroup,
     if b.group != group:
         raise GroupMismatchError("factor is not defined on the requested group")
     elements = group.elements()
-    index = {g.coords: i for i, g in enumerate(elements)}
     basis = [(f"u{g}", g) for g in elements]
     products: dict[tuple[int, int], Vec] = {}
     powers: dict[tuple[int, int, int], Scalar] = {}
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
             c = _crossing_cocycle(b, g.coords, h.coords, powers)
-            products[(i, j)] = {index[(g + h).coords]: c}
-    unit = {index[group.identity().coords]: Scalar.one()}
-    return GradedAlgebra(group, basis, products, unit,
+            products[(i, j)] = {group.index(map(sum, zip(g.coords, h.coords))): c}
+    return GradedAlgebra(group, basis, products, {0: Scalar.one()},
                          name=f"twisted k_b[{group}]")
 
 

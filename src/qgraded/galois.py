@@ -76,13 +76,16 @@ class RelativeChain:
     T_0 is the algebra itself; T_k is (T_{k-1} tensor A) modulo the
     balanced relations t*x (x) y - t (x) x*y with x running over
     generators of the subalgebra, which `word_closure` picks from its
-    basis vectors.  Spaces are built on demand and cached.
+    basis vectors.  Spaces are built on demand and cached.  The grading group
+    must be finite; grade_pos[i] is the `GradingGroup.index` of grade(i).
     """
 
     def __init__(self, algebra: GradedAlgebra):
+        if not algebra.group.is_finite:
+            raise InfiniteGroupError("relative tensor powers require a finite grading group")
         self.algebra = algebra
-        e = algebra.group.identity()
-        self.sub = algebra.component(e)
+        self.grade_pos = [algebra.group.index(g.coords) for _label, g in algebra.basis]
+        self.sub = algebra.component(algebra.group.identity())
         coinv = coinvariants(algebra)
         if sorted(i for v in coinv for i in v.coords) != sorted(self.sub):
             raise InternalConsistencyError(
@@ -119,15 +122,13 @@ class RelativeChain:
         """Each balanced relation of T_k must map to zero under the step
         that applies the canonical map to the last two slots; a nonzero
         image would indicate a bug, not a property of the input."""
-        A = self.algebra
-        grades = {g.coords: t for t, g in enumerate(A.grades_present())}
-        grade_id = [grades[A.grade(m).coords] for m in range(A.dim)]
+        dim, order = self.algebra.dim, self.algebra.group.order
         for row in space.relations:
             image: Vec = {}
             for amb, c in row.items():
-                cprev, m = divmod(amb, A.dim)
+                cprev, m = divmod(amb, dim)
                 for t, c2 in self.right_action(k - 1, cprev, m).items():
-                    vec_add_at(image, t * len(grades) + grade_id[m], c * c2)
+                    vec_add_at(image, t * order + self.grade_pos[m], c * c2)
             if image:
                 raise InternalConsistencyError(
                     f"tensor-power step {k} is not constant on a balanced relation")
@@ -145,7 +146,7 @@ class RelativeChain:
 def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:
     """The relative tensor square of the algebra over its identity-grade
     subalgebra, as an explicit quotient whose ambient position i*dim + j
-    stands for basis vector i (x) basis vector j."""
+    stands for basis vector i (x) basis vector j; the grading group must be finite."""
     return RelativeChain(algebra).space(1)
 
 
@@ -198,9 +199,8 @@ def is_galois(algebra: GradedAlgebra,
     if r < beta.codomain_dim:
         missing = next(p for p in range(beta.codomain_dim)
                        if p not in image.pivot_rows)
-        elements = algebra.group.elements()
-        i, t = divmod(missing, len(elements))
-        cokernel_witness = (i, elements[t])
+        i, t = divmod(missing, algebra.group.order)
+        cokernel_witness = (i, algebra.group.elements()[t])
     return GaloisReport(False, beta.domain_dim, beta.codomain_dim, r,
                         kernel_witness, cokernel_witness)
 
@@ -213,7 +213,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
     Domain: the (n+1)-fold relative tensor power T_n; column q is its
     quotient basis class q.  Codomain: algebra (x) n copies of the group
     algebra, i (x) g_1 (x) ... (x) g_n at position
-    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n), idx the `elements()` order.
+    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n), idx = `GradingGroup.index`.
 
     beta^1, ..., beta^n are built level by level from the identity beta^0:
     the T_k class at ambient position cprev*dim + m maps to
@@ -227,22 +227,15 @@ def beta_n(algebra: GradedAlgebra, n: int,
     if n > MAX_BETA_N:
         raise CapExceededError(
             f"beta iterate {n} exceeds the configured cap {MAX_BETA_N}")
-    if not algebra.group.is_finite:
-        raise InfiniteGroupError(
-            "the canonical map and its iterates require a finite grading group")
     chain = chain or RelativeChain(algebra)
-    dim = algebra.dim
-    elements = algebra.group.elements()
-    nG = len(elements)
-    gindex = {g.coords: t for t, g in enumerate(elements)}
-    grade_idx = [gindex[algebra.grade(j).coords] for j in range(dim)]
+    dim, nG = algebra.dim, algebra.group.order
 
     columns: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
     for k in range(1, n + 1):
         prev_columns, columns = columns, []
         for amb in chain.space(k).basis_ambient:
             cprev, m = divmod(amb, dim)
-            g = grade_idx[m]
+            g = chain.grade_pos[m]
             col: Vec = {}
             for t, c in chain.right_action(k - 1, cprev, m).items():
                 for p, x in prev_columns[t].items():

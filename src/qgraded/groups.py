@@ -64,6 +64,15 @@ class GradingGroup:
         return [GroupElement(self, coords)
                 for coords in itertools.product(*(range(n) for n in self.torsion))]
 
+    def index(self, coords) -> int:
+        """Position in `elements()` of the reduced element with these coordinates."""
+        if not self.is_finite:
+            raise InfiniteGroupError("positions require a finite group")
+        pos = 0
+        for c, n in zip(coords, self.torsion, strict=True):
+            pos = pos * n + c % n
+        return pos
+
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z_{n}" for n in self.torsion]
         return " x ".join(parts) if parts else "trivial"

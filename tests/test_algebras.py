@@ -322,6 +322,27 @@ def test_twisted_builder_self_statistics_recorded():
     assert classify_statistics(b).generators[0].label == "fermionic"
 
 
+def test_twisted_builder_adds_no_group_elements_itself(monkeypatch):
+    # u_g * u_h is placed at GradingGroup.index of the coordinate sum: every
+    # addition left is the homogeneity check of the validation it runs
+    from qgraded.groups import GroupElement
+    G = GradingGroup(0, (4, 4))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], root_of_unity(4))
+    adds = []
+    add = GroupElement.__add__
+
+    def counting(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(GroupElement, "__add__", counting)
+    A = build_twisted_group_algebra(G, b)
+    built = len(adds)
+    adds.clear()
+    assert A.validation_report().passed
+    assert built == len(adds) == 16 * 16
+
+
 def test_torsion_generator_power_is_unit():
     G = GradingGroup(0, (4,))
     b = standard_factor(G, [[0]], [[0]], root_of_unity(4))

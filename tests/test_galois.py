@@ -292,6 +292,64 @@ def test_generators_of_the_identity_component_are_unchanged(corpus, monkeypatch)
         assert RelativeChain(entry.algebra).generators == recorded[family]
 
 
+def _sign(p):
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2
+
+
+def _compose(s, t):
+    return tuple(s[i] for i in t)
+
+
+def _group_algebra_of(elements, mul, G, grade):
+    """k[H] for a finite group H listed identity first, graded over the
+    abelian G through the homomorphism `grade`: u_x * u_y = u_{mul(x, y)}."""
+    position = {x: i for i, x in enumerate(elements)}
+    one = Scalar.one()
+    products = {(i, j): {position[mul(x, y)]: one}
+                for i, x in enumerate(elements) for j, y in enumerate(elements)}
+    basis = [(f"u{x}", G.element(grade(x))) for x in elements]
+    return GradedAlgebra(G, basis, products, {0: one})
+
+
+_S3 = list(itertools.permutations(range(3)))
+_S4 = list(itertools.permutations(range(4)))
+_Z2 = GradingGroup(0, (2,))
+
+# name -> (builder, the generators RelativeChain picked before grades were
+# numbered by GradingGroup.index)
+_NONCOMMUTATIVE_IDENTITY = {
+    "kS3 over the trivial group": (lambda: _group_algebra_of(
+        _S3, _compose, GradingGroup(0), lambda p: ()), [1, 2]),
+    "kS3 over the sign": (lambda: _group_algebra_of(
+        _S3, _compose, _Z2, lambda p: (_sign(p),)), [3]),
+    "kS4 over the sign": (lambda: _group_algebra_of(
+        _S4, _compose, _Z2, lambda p: (_sign(p),)), [3, 7]),
+    "k[S3 x Z2] over Z2": (lambda: _group_algebra_of(
+        [(p, z) for p in _S3 for z in range(2)],
+        lambda x, y: (_compose(x[0], y[0]), (x[1] + y[1]) % 2),
+        _Z2, lambda x: (x[1],)), [2, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONCOMMUTATIVE_IDENTITY))
+def test_identity_components_that_do_not_commute(name):
+    # A_e is kS3, kA3, kA4 or kS3: every input but kA3 reaches the
+    # balanced law with two generators x1, x2 where x1*x2 != x2*x1
+    make, generators = _NONCOMMUTATIVE_IDENTITY[name]
+    A = make()
+    eq = check_equivalence_theorem(A)
+    assert eq.strong.strong and eq.galois.galois and eq.agree
+    chain = RelativeChain(A)
+    assert chain.generators == generators
+    if len(generators) == 2:
+        x1, x2 = ({x: Scalar.one()} for x in generators)
+        assert A.multiply(x1, x2) != A.multiply(x2, x1)
+    for n in (1, 2):
+        bmap = beta_n(A, n, chain=chain)
+        assert bmap.domain_dim == bmap.codomain_dim == A.dim * A.group.order ** n
+        assert bmap.is_bijective()
+
+
 def test_twisted_group_algebras_build_no_relation_rows(monkeypatch):
     # the identity component is k*1, which needs no generator: T_k is the
     # plain tensor power and no right action runs while building it
@@ -399,6 +457,26 @@ def test_canonical_map_requires_finite_group():
     A = build_b_symmetric_truncation(trivial_factor(GradingGroup(1)), 2)
     with pytest.raises(InfiniteGroupError):
         canonical_map(A)
+
+
+def test_the_beta_machinery_refuses_an_infinite_group_before_any_work(monkeypatch):
+    from qgraded.algebras import build_b_symmetric_truncation
+    A = build_b_symmetric_truncation(trivial_factor(GradingGroup(1)), 2)
+
+    def fail(algebra):
+        raise AssertionError("coinvariants computed over an infinite group")
+
+    monkeypatch.setattr("qgraded.galois.coinvariants", fail)
+    for call in (RelativeChain, relative_tensor, is_galois, canonical_map,
+                 lambda A: beta_n(A, 1)):
+        with pytest.raises(InfiniteGroupError, match="finite grading group"):
+            call(A)
+    # the argument checks of beta_n come before that refusal
+    with pytest.raises(ValueError, match="n must be >= 1") as info:
+        beta_n(A, 0)
+    assert not isinstance(info.value, InfiniteGroupError)
+    with pytest.raises(CapExceededError, match="cap 4"):
+        beta_n(A, 5)
 
 
 # -- bijectivity verdicts -----------------------------------------------------

@@ -109,6 +109,36 @@ def test_order_of_infinite_group():
         GradingGroup(1).order
 
 
+@pytest.mark.parametrize("torsion", [(), (5,), (4, 2), (3, 3, 3)])
+def test_index_is_the_inverse_of_the_enumeration(torsion):
+    G = GradingGroup(0, torsion)
+    assert [G.index(g.coords) for g in G.elements()] == list(range(G.order))
+
+
+@pytest.mark.parametrize("torsion, coords, reduced", [
+    ((5,), (-1,), (4,)),
+    ((5,), (12,), (2,)),
+    ((4, 2), (-3, 5), (1, 1)),
+    ((3, 3, 3), (3, -4, 7), (0, 2, 1)),
+])
+def test_index_reduces_its_coordinates(torsion, coords, reduced):
+    G = GradingGroup(0, torsion)
+    assert G.index(coords) == G.index(reduced) == G.elements().index(G.element(reduced))
+
+
+def test_index_refuses_a_wrong_number_of_coordinates():
+    G = GradingGroup(0, (4, 2))
+    for coords in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            G.index(coords)
+
+
+@pytest.mark.parametrize("group", [GradingGroup(1), GradingGroup(1, (3,))])
+def test_index_requires_finite_group(group):
+    with pytest.raises(InfiniteGroupError, match="finite group"):
+        group.index((0,) * group.ngens)
+
+
 def _reduced(group, coords):
     r = group.free_rank
     return tuple(coords[:r]) + tuple(c % n for c, n in zip(coords[r:], group.torsion))

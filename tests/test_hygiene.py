@@ -1,7 +1,8 @@
 """Dead-symbol guard for the package, written on the standard library's ast:
 every top-level import of a module is used in it, every private name
-the package defines is referenced somewhere in the package, and only the
-scalar module constructs a Scalar directly."""
+the package defines is referenced somewhere in the package, only the
+scalar module constructs a Scalar directly, and only the group module
+numbers group elements."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,17 @@ def test_scalars_are_constructed_only_in_the_scalar_module():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "Scalar"]
     assert outside == []
+
+
+def test_only_the_group_module_numbers_group_elements():
+    # {g.coords: t for t, g in enumerate(...)} rebuilds the inverse of
+    # `elements()`, which is GradingGroup.index
+    numberings = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+                  if name != "groups.py" for node in ast.walk(tree)
+                  if isinstance(node, ast.DictComp)
+                  and isinstance(node.key, ast.Attribute) and node.key.attr == "coords"
+                  and any(isinstance(gen.iter, ast.Call)
+                          and isinstance(gen.iter.func, ast.Name)
+                          and gen.iter.func.id == "enumerate"
+                          for gen in node.generators)]
+    assert numberings == []
