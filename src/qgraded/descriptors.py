@@ -128,6 +128,14 @@ def algebra_from_dict(group: GradingGroup, d: dict,
                  f"{where}: basis index {i!r} out of range 0..{dim - 1}")
         return i
 
+    parsed: dict[str, Scalar] = {}
+
+    def scalar(text, where: str) -> Scalar:
+        # each distinct text is parsed once; a bad one raises at its first field
+        if not (isinstance(text, str) and text in parsed):
+            parsed[text] = _parse_scalar_field(text, where)
+        return parsed[text]
+
     unit: Vec = {}
     _require(isinstance(d["unit"], dict), "algebra.unit must be an object")
     for key, text in d["unit"].items():
@@ -139,7 +147,7 @@ def algebra_from_dict(group: GradingGroup, d: dict,
         _require(idx is not None and key == str(idx),
                  f"algebra.unit: key {key!r} is not a canonical index")
         check_index(idx, "algebra.unit")
-        unit[idx] = _parse_scalar_field(text, f"algebra.unit[{key}]")
+        unit[idx] = scalar(text, f"algebra.unit[{key}]")
 
     products: dict[tuple[int, int], Vec] = {}
     _require(isinstance(d["products"], list), "algebra.products must be a list")
@@ -156,7 +164,7 @@ def algebra_from_dict(group: GradingGroup, d: dict,
             _require(isinstance(term, dict) and set(term) == {"basis", "coeff"},
                      f"{where}.result[{rpos}] must have exactly 'basis' and 'coeff'")
             k = check_index(term["basis"], f"{where}.result[{rpos}].basis")
-            vec[k] = _parse_scalar_field(term["coeff"], f"{where}.result[{rpos}].coeff")
+            vec[k] = scalar(term["coeff"], f"{where}.result[{rpos}].coeff")
         products[(i, j)] = vec
     name = d.get("name")
     _require(name is None or isinstance(name, str), "algebra.name must be a string")

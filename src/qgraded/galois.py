@@ -63,9 +63,10 @@ class QuotientSpace:
             if prow is None:
                 vec_add_at(out, self._qindex[a], c)
             else:
+                minus_c = -c
                 for f, x in prow.items():
                     if f != a:
-                        vec_add_at(out, self._qindex[f], -(c * x))
+                        vec_add_at(out, self._qindex[f], minus_c, x)
         return out
 
 
@@ -74,7 +75,7 @@ class RelativeChain:
     identity-grade subalgebra, with the right multiplication action.
 
     T_0 is the algebra itself; T_k is (T_{k-1} tensor A) modulo the
-    balanced relations t*x (x) y - t (x) x*y with x running over
+    balanced relations t (x) x*y - t*x (x) y with x running over
     generators of the subalgebra, which `word_closure` picks from its
     basis vectors.  Spaces are built on demand and cached.  The grading group
     must be finite; grade_pos[i] is the `GradingGroup.index` of grade(i).
@@ -107,11 +108,13 @@ class RelativeChain:
             rows: list[Vec] = []
             for c in range(prev):
                 for x in self.generators:
-                    cx = self.right_action(k - 1, c, x)
+                    # -(c*x), keyed by the ambient offset of each class t
+                    minus_cx = {t * dim: -coeff
+                                for t, coeff in self.right_action(k - 1, c, x).items()}
                     for y in range(dim):
-                        row: Vec = {t * dim + y: coeff for t, coeff in cx.items()}
+                        row: Vec = {t + y: coeff for t, coeff in minus_cx.items()}
                         for m, coeff in A.product_coords(x, y).items():
-                            vec_add_at(row, c * dim + m, -coeff)
+                            vec_add_at(row, c * dim + m, coeff)
                         rows.append(row)
             space = QuotientSpace(prev * dim, rows)
             self._verify_step(k, space)
@@ -128,7 +131,7 @@ class RelativeChain:
             for amb, c in row.items():
                 cprev, m = divmod(amb, dim)
                 for t, c2 in self.right_action(k - 1, cprev, m).items():
-                    vec_add_at(image, t * order + self.grade_pos[m], c * c2)
+                    vec_add_at(image, t * order + self.grade_pos[m], c, c2)
             if image:
                 raise InternalConsistencyError(
                     f"tensor-power step {k} is not constant on a balanced relation")
@@ -239,7 +242,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
             col: Vec = {}
             for t, c in chain.right_action(k - 1, cprev, m).items():
                 for p, x in prev_columns[t].items():
-                    vec_add_at(col, p * nG + g, c * x)
+                    vec_add_at(col, p * nG + g, c, x)
             columns.append(col)
     return LinearMap(dim * nG ** n, columns)
 

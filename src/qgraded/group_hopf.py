@@ -59,7 +59,7 @@ class TensorElement:
             out: dict[tuple, Scalar] = {}
             for k1, a in self.terms.items():
                 for k2, b in other.terms.items():
-                    vec_add_at(out, tuple(map(add, k1, k2)), a * b)
+                    vec_add_at(out, tuple(map(add, k1, k2)), a, b)
             return self._like(out)
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
@@ -150,7 +150,7 @@ def _apply_slot(t: TensorElement, slot: int,
         image = fn(GroupAlgebraElement.group_like(key[slot]))
         pieces = {(): image} if isinstance(image, Scalar) else image.terms
         for piece, d in pieces.items():
-            vec_add_at(out, key[:slot] + piece + key[slot + 1:], c * d)
+            vec_add_at(out, key[:slot] + piece + key[slot + 1:], c, d)
     return TensorElement(out)
 
 

@@ -1,11 +1,15 @@
 """Exact sparse linear algebra over scalars.
 
 Vectors are dicts mapping column index to a nonzero Scalar.  Every
-accumulation into a sparse vector goes through `vec_add_at`, which works
-in place: it mutates only the dict it is given, and that dict must belong
-to the caller (`vec_add_scaled` likewise mutates and returns `dst`, never
-`src`).  The primitive takes any hashable key, so other modules use it
-for tuple- and group-keyed tensors too.
+accumulation into a sparse vector goes through `vec_add_at(dst, key, a, b)`,
+dst[key] += a*b (or += a without b), which works in place: it mutates only
+the dict it is given, and that dict must belong to the caller
+(`vec_add_scaled` likewise mutates and returns `dst`, never `src`).  It
+takes a product's factors, never the finished product, so an update to an
+existing entry is one `Scalar.add_product`: one normalisation and one new
+object whenever the fields allow; a caller negates a scale once per scaled
+vector, never once per entry.  The primitive takes any hashable key, so other modules use it for
+tuple- and group-keyed tensors too.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a
@@ -23,11 +27,14 @@ from .scalars import Scalar
 Vec = dict[int, Scalar]
 
 
-def vec_add_at(dst: dict, key: Hashable, value: Scalar):
-    """dst[key] += value in place, dropping the entry if it cancels."""
+def vec_add_at(dst: dict, key: Hashable, a: Scalar, b: Scalar | None = None):
+    """dst[key] += a*b, or += a when b is None, in place, dropping the
+    entry if it cancels."""
     prev = dst.get(key)
-    if prev is not None:
-        value = prev + value
+    if b is not None:
+        value = a * b if prev is None else prev.add_product(a, b)
+    else:
+        value = a if prev is None else prev + a
     if value.is_zero():
         dst.pop(key, None)
     else:
@@ -37,7 +44,7 @@ def vec_add_at(dst: dict, key: Hashable, value: Scalar):
 def vec_add_scaled(dst: Vec, src: Vec, c: Scalar) -> Vec:
     """dst += c*src in place, zero entries dropped; returns dst."""
     for k, x in src.items():
-        vec_add_at(dst, k, c * x)
+        vec_add_at(dst, k, c, x)
     return dst
 
 

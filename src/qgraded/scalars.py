@@ -240,6 +240,37 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def add_product(self, a: "Scalar", b: "Scalar") -> "Scalar":
+        """self + a*b with one normalisation, stored exactly as self + a*b.
+
+        The sum is formed in the field where the two-step sum lands, so it
+        fuses only when self is rational or lcm(a.order, b.order) divides
+        self.order, and otherwise returns self + a*b: a product that folds
+        to a rational (zeta_3 + zeta_4 * zeta_4^3) must not leave the sum
+        in a larger field than self's.
+        """
+        scale = a.den * b.den
+        den = self.den * scale
+        if self.order == a.order == b.order == 1:
+            num = self.nums[0] * scale + a.nums[0] * b.nums[0] * self.den
+            g = math.gcd(num, den)
+            return Scalar(1, (num // g,), den // g)
+        n, m = self.order, math.lcm(a.order, b.order)
+        if n == 1:
+            n = m
+        elif n % m:
+            return self + a * b
+        if a.order == 1 or b.order == 1:  # a rational factor scales the other
+            r, s = (a, b) if a.order == 1 else (b, a)
+            c = r.nums[0] * self.den
+            out = [c * y for y in (s.nums if s.order == n else s._lift(n))]
+        else:
+            u, v = (f.nums if f.order == n else f._lift(n) for f in (a, b))
+            out = _polymul([self.den * y for y in u], v)
+        for i, x in enumerate(self.nums):
+            out[i] += x * scale
+        return Scalar._make(n, out, den)
+
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.is_zero():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qgraded.descriptors as descriptors
 from qgraded.algebras import build_truncated_poly, build_twisted_group_algebra
 from qgraded.commutation import standard_factor
 from qgraded.descriptors import (Descriptor, descriptor_from_dict,
@@ -106,3 +107,32 @@ def test_structurally_invalid_algebra_rejected_when_validating():
     desc = descriptor_from_dict(data, validate_algebra=False)
     report = desc.algebra.validation_report()
     assert not report.passed
+
+
+def test_each_distinct_coefficient_text_is_parsed_once(monkeypatch):
+    data = descriptor_to_dict(sample_descriptor())
+    texts = list(data["algebra"]["unit"].values()) + [
+        term["coeff"] for entry in data["algebra"]["products"]
+        for term in entry["result"]]
+    assert len(texts) > len(set(texts))  # the sample repeats its coefficients
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_scalar(text)
+
+    monkeypatch.setattr(descriptors, "parse_scalar", counting)
+    again = descriptor_from_dict(data)
+    # the factor's q first, then each distinct algebra text at its first field
+    assert calls == [data["factor"]["q"]] + list(dict.fromkeys(texts))
+    assert again.algebra.products == sample_descriptor().algebra.products
+
+
+def test_a_repeated_invalid_coefficient_names_its_first_field():
+    data = descriptor_to_dict(sample_descriptor())
+    products = data["algebra"]["products"]
+    for pos in (2, 5):
+        products[pos]["result"][0]["coeff"] = "1/0"
+    with pytest.raises(DescriptorError,
+                       match=r"^algebra\.products\[2\]\.result\[0\]\.coeff: .*denominator"):
+        descriptor_from_dict(data)

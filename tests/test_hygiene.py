@@ -1,8 +1,8 @@
 """Dead-symbol guard for the package, written on the standard library's ast:
 every top-level import of a module is used in it, every private name
 the package defines is referenced somewhere in the package, only the
-scalar module constructs a Scalar directly, and only the group module
-numbers group elements."""
+scalar module constructs a Scalar directly, only the group module
+numbers group elements, and no product is built only to be accumulated."""
 
 import ast
 from pathlib import Path
@@ -97,3 +97,20 @@ def test_only_the_group_module_numbers_group_elements():
                           and gen.iter.func.id == "enumerate"
                           for gen in node.generators)]
     assert numberings == []
+
+
+def test_no_product_is_built_only_to_be_accumulated():
+    # vec_add_at(dst, key, a, b) adds a*b with one normalisation; passing it
+    # a finished product (c * x, or -(c * x)) normalises every entry twice
+    def product(node):
+        while isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    built = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "vec_add_at"
+             and any(product(arg) for arg in
+                     node.args[2:] + [kw.value for kw in node.keywords])]
+    assert built == []

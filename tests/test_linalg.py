@@ -181,6 +181,12 @@ def test_vec_add_scaled_drops_zeros():
     assert out is dst  # mutated in place and returned
     assert dst == vec(c1=2, c2=-3)  # the cancelled key is gone
     assert src == vec(c0=1, c2=3)
+    # cyclotomic entries cancel through the fused update as well, one of
+    # them only after zeta_3^3 folds to the rational 1
+    z3 = root_of_unity(3)
+    dst = {0: z3, 1: s(1), 2: s(5)}
+    out = vec_add_scaled(dst, {0: z3 ** 2, 1: z3}, -(z3 ** 2))
+    assert out is dst and dst == {2: s(5)}
 
 
 def test_reduce_leaves_its_argument_unchanged():

@@ -397,3 +397,36 @@ def test_a_product_of_two_rationals_is_reduced_by_one_gcd():
     assert ((a * b).order, (a * b).nums, (a * b).den) == (1, (-2,), 3)
     zero = Scalar.from_rational(0) * Scalar.from_rational(Fraction(5, 7))
     assert (zero.nums, zero.den) == ((0,), 1)
+
+
+# -- the fused multiply-accumulate --------------------------------------------
+#
+# x.add_product(a, b) normalises x + a*b once; it must store exactly what
+# the two-step sum stores, including the field order of the result.
+
+mixed_operands = st.one_of(canonical_inputs(), fast_path_operands())
+
+
+@given(mixed_operands, mixed_operands, mixed_operands)
+def test_the_fused_sum_is_the_two_step_sum(x, a, b):
+    fused, two_step = x.add_product(a, b), x + a * b
+    assert (fused.order, fused.nums, fused.den) == \
+        (two_step.order, two_step.nums, two_step.den)
+    _assert_canonical(fused)
+    assert _oracle(fused) == tuple(
+        u + v for u, v in zip(_oracle(x), _oracle_mul(_oracle(a), _oracle(b))))
+
+
+def test_a_product_that_folds_to_a_rational_keeps_the_sum_in_its_field():
+    # zeta_4 * zeta_4^3 = 1, so the sum stays in Q(zeta_3), not Q(zeta_12)
+    z3 = root_of_unity(3)
+    fused = z3.add_product(root_of_unity(4), root_of_unity(4, 3))
+    assert (fused.order, fused.nums, fused.den) == (3, (1, 1), 1)
+    assert str(fused) == str(z3 + 1) == "-zeta(3)^2"
+    # a rational x takes the product's field, or order 1 when the sum folds
+    half = Scalar.from_rational(Fraction(1, 2))
+    folded = half.add_product(root_of_unity(4), root_of_unity(4, 3))
+    assert (folded.order, folded.nums, folded.den) == (1, (3,), 2)
+    assert half.add_product(root_of_unity(3), root_of_unity(3)).order == 3
+    cancel = root_of_unity(4).add_product(Scalar.from_rational(-1), root_of_unity(4))
+    assert (cancel.order, cancel.nums, cancel.den) == (1, (0,), 1)
