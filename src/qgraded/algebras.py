@@ -369,23 +369,6 @@ def strong_grading_window(algebra: GradedAlgebra) -> list[WindowEvidence]:
 # -- builders --------------------------------------------------------------
 
 
-def _crossing_cocycle(b: CommutationFactor, g_coords, h_coords, powers: dict) -> Scalar:
-    # ordered factorization: commute crossing generator pairs (i > j) only;
-    # powers memoizes b(xi_i, xi_j)^e by (i, j, e) for one builder call
-    value = Scalar.one()
-    for i, gi in enumerate(g_coords):
-        if gi:
-            for j in range(i):
-                hj = h_coords[j]
-                if hj:
-                    key = (i, j, gi * hj)
-                    power = powers.get(key)
-                    if power is None:
-                        power = powers[key] = b.generator_value(i, j) ** key[2]
-                    value = value * power
-    return value
-
-
 def build_twisted_group_algebra(group: GradingGroup,
                                 b: CommutationFactor) -> GradedAlgebra:
     """Twisted group algebra k_b[G]: one basis vector u_g per group element.
@@ -402,10 +385,9 @@ def build_twisted_group_algebra(group: GradingGroup,
     elements = group.elements()
     basis = [(f"u{g}", g) for g in elements]
     products: dict[tuple[int, int], Vec] = {}
-    powers: dict[tuple[int, int, int], Scalar] = {}
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
-            c = _crossing_cocycle(b, g.coords, h.coords, powers)
+            c = b.crossing_cocycle(g.coords, h.coords)
             products[(i, j)] = {group.index(map(sum, zip(g.coords, h.coords))): c}
     return GradedAlgebra(group, basis, products, {0: Scalar.one()},
                          name=f"twisted k_b[{group}]")
@@ -481,7 +463,6 @@ def build_b_symmetric_truncation(b: CommutationFactor,
     basis = [(_monomial_label(names, e), group.element(e)) for e in monomials]
 
     products: dict[tuple[int, int], Vec] = {}
-    powers: dict[tuple[int, int, int], Scalar] = {}
     for ia, a in enumerate(monomials):
         for ic, c in enumerate(monomials):
             total = tuple(x + y for x, y in zip(a, c))
@@ -489,6 +470,6 @@ def build_b_symmetric_truncation(b: CommutationFactor,
                 continue
             if any(fermionic[i] and total[i] >= 2 for i in range(N)):
                 continue
-            products[(ia, ic)] = {index[total]: _crossing_cocycle(b, a, c, powers)}
+            products[(ia, ic)] = {index[total]: b.crossing_cocycle(a, c)}
     return GradedAlgebra(group, basis, products, {index[(0,) * N]: Scalar.one()},
                          name=f"b-symmetric truncation deg<={max_degree}")

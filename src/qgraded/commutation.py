@@ -3,15 +3,15 @@
 A factor is generated from an integer symmetric matrix `sigma`, an integer
 antisymmetric matrix `omega` and a nonzero scalar `q` via the generator
 values b(xi_i, xi_j) = (-1)^sigma_ij * q^omega_ij, extended to all of
-G x G bimultiplicatively.  These are exactly the coquasitriangular
-structures on the group algebra kG for abelian G.
+G x G bimultiplicatively: b(g, h) = (-1)^(g sigma h) * q^(g omega h).
+These are exactly the coquasitriangular structures on the group algebra
+kG for abelian G.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import CapExceededError, GroupMismatchError
 from .groups import GradingGroup, GroupElement
@@ -34,13 +34,19 @@ def _height(q: Scalar) -> int:
                for x in (q, q.inverse()))
 
 
+def _exponent(entries, g, h) -> int:
+    """g m h = sum of m_ij * g_i * h_j, for m given by its nonzero entries."""
+    return sum(x * g[i] * h[j] for i, j, x in entries)
+
+
 class CommutationFactor:
     """Bicharacter on a grading group, determined by (sigma, omega, q).
 
     Construction validates symmetry of sigma, antisymmetry of omega,
     q != 0, and for torsion groups the well-definedness condition
     b(xi_i, xi_j)^{n_i} = 1 on every generator pair touching a torsion
-    coordinate.  Values are cached; instances are immutable.
+    coordinate.  Powers of q and values are cached; instances are
+    immutable.
     """
 
     def __init__(self, group: GradingGroup, sigma, omega, q: Scalar):
@@ -67,9 +73,15 @@ class CommutationFactor:
         self.q = q
         self._height = _height(q) if any(map(any, omega)) else 0
         self.check_value_size(1)
-        minus_one = Scalar.from_rational(-1)
-        self._gen = [[(minus_one ** sigma[i][j]) * (q ** omega[i][j])
-                      for j in range(n)] for i in range(n)]
+        # each matrix by its nonzero entries (i, j, m_ij)
+        self._sigma_entries, self._omega_entries = (
+            tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+            for m in (sigma, omega))
+        # the crossing cocycle's matrices: the strict lower triangles (i > j)
+        self._sigma_lower, self._omega_lower = (
+            tuple(e for e in entries if e[0] > e[1])
+            for entries in (self._sigma_entries, self._omega_entries))
+        self._powers: dict[int, Scalar] = {0: Scalar.one(), 1: q}
         self._cache: dict[tuple, Scalar] = {}
         for i, n_i in enumerate(group.torsion, group.free_rank):
             for j in range(n):
@@ -83,7 +95,7 @@ class CommutationFactor:
         a value that is no root of unity has no power 1, a root of unity one | 2m."""
         if self._height and self.omega[i][j]:
             return False
-        x = self._gen[i][j]
+        x = self.generator_value(i, j)
         return (x ** (n % (2 * x.order))).is_one()
 
     def check_value_size(self, reach: int):
@@ -94,9 +106,19 @@ class CommutationFactor:
             raise CapExceededError(
                 f"commutation factor values may exceed the cap of {MAX_VALUE_BITS} bits")
 
+    def _value(self, s: int, w: int) -> Scalar:
+        """(-1)^s * q^w, the one rule for b's values; a negative w takes
+        its power of the one inverse of q."""
+        power = self._powers.get(w)
+        if power is None:
+            if w < 0 and -1 not in self._powers:
+                self._powers[-1] = self.q.inverse()
+            power = self._powers[w] = self._powers[1 if w > 0 else -1] ** abs(w)
+        return -power if s % 2 else power
+
     def generator_value(self, i: int, j: int) -> Scalar:
         """b on the (i, j) generator pair."""
-        return self._gen[i][j]
+        return self._value(self.sigma[i][j], self.omega[i][j])
 
     def evaluate(self, g: GroupElement, h: GroupElement) -> Scalar:
         """b(g, h), the bimultiplicative extension of the generator values."""
@@ -104,16 +126,16 @@ class CommutationFactor:
             raise GroupMismatchError("elements do not belong to the factor's group")
         key = (g.coords, h.coords)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        value = Scalar.one()
-        for i, gi in enumerate(g.coords):
-            if gi:
-                for j, hj in enumerate(h.coords):
-                    if hj:
-                        value = value * (self._gen[i][j] ** (gi * hj))
-        self._cache[key] = value
-        return value
+        if cached is None:
+            cached = self._cache[key] = self._value(
+                _exponent(self._sigma_entries, *key), _exponent(self._omega_entries, *key))
+        return cached
+
+    def crossing_cocycle(self, g_coords, h_coords) -> Scalar:
+        """The cocycle of the ordered monomials: b on the crossing generator
+        pairs (i > j) only, that is the same rule on the lower triangles."""
+        return self._value(_exponent(self._sigma_lower, g_coords, h_coords),
+                           _exponent(self._omega_lower, g_coords, h_coords))
 
     def inverse(self) -> "CommutationFactor":
         """The convolution inverse g,h -> b(g,h)^{-1}; again a factor."""
@@ -140,9 +162,7 @@ def convolution_inverse(b: CommutationFactor) -> CommutationFactor:
     return b.inverse()
 
 
-def check_cqt_axioms(b: CommutationFactor,
-                     pairing: Callable[[GroupElement, GroupElement], Scalar] | None = None,
-                     ) -> CheckReport:
+def check_cqt_axioms(b: CommutationFactor) -> CheckReport:
     """Verify the coquasitriangularity laws of a factor on element triples.
 
     The commutation identity compares b(h,k)*(kh) with (hk)*b(h,k) inside
@@ -151,15 +171,13 @@ def check_cqt_axioms(b: CommutationFactor,
     all triples of a sample, the binary laws (commutation identity,
     pointwise convolution invertibility) over all its pairs.  The sample
     is the whole group up to order 64, otherwise the identity, the
-    generators, their inverses and their doubles.  `pairing` overrides
-    the evaluation map (for negative fixtures).
+    generators, their inverses and their doubles.
 
     The cube runs on ids, positions in the sample with sums outside it (Z^N
     only) after it.  Each b(x, y) with x or y in the sample is evaluated once
     and interned by its stored form, products are memoised on pairs of value
     ids, and differing ids are confirmed by Scalar equality (one form per order).
     """
-    ev = pairing or b.evaluate
     group = b.group
     if group.is_finite and group.order <= 64:
         els = group.elements()
@@ -178,8 +196,8 @@ def check_cqt_axioms(b: CommutationFactor,
             vals.append(s)
         return i
 
-    bt = [[intern(ev(x, y)) if i < n or j < n else None for j, y in enumerate(pts)]
-          for i, x in enumerate(pts)]
+    bt = [[intern(b.evaluate(x, y)) if i < n or j < n else None
+           for j, y in enumerate(pts)] for i, x in enumerate(pts)]
 
     def fails(lhs: int, u: int, v: int) -> bool:  # value lhs != value u * value v
         p = prod.get((u, v))

@@ -126,12 +126,16 @@ class RelativeChain:
         that applies the canonical map to the last two slots; a nonzero
         image would indicate a bug, not a property of the input."""
         dim, order = self.algebra.dim, self.algebra.group.order
+        moved: dict[int, Vec] = {}  # ambient position -> its image under the step
         for row in space.relations:
             image: Vec = {}
             for amb, c in row.items():
-                cprev, m = divmod(amb, dim)
-                for t, c2 in self.right_action(k - 1, cprev, m).items():
-                    vec_add_at(image, t * order + self.grade_pos[m], c, c2)
+                if amb not in moved:
+                    cprev, m = divmod(amb, dim)
+                    moved[amb] = {t * order + self.grade_pos[m]: c2
+                                  for t, c2 in self.right_action(k - 1, cprev, m).items()}
+                for pos, c2 in moved[amb].items():
+                    vec_add_at(image, pos, c, c2)
             if image:
                 raise InternalConsistencyError(
                     f"tensor-power step {k} is not constant on a balanced relation")

@@ -48,6 +48,14 @@ def vec_add_scaled(dst: Vec, src: Vec, c: Scalar) -> Vec:
     return dst
 
 
+def _eliminate(row: Vec, prow: Vec, col: int):
+    """row -= row[col] * prow for prow[col] == 1: the entry at col is popped."""
+    minus_x = -row.pop(col)
+    for k, y in prow.items():
+        if k != col:
+            vec_add_at(row, k, minus_x, y)
+
+
 class Echelon:
     """Incremental row echelon form with smallest-column pivots."""
 
@@ -71,7 +79,7 @@ class Echelon:
                 return row
             if not owned:
                 row, owned = dict(row), True
-            vec_add_scaled(row, prow, -row[lead])
+            _eliminate(row, prow, lead)
         return row
 
     def contains(self, row: Vec) -> bool:
@@ -105,9 +113,8 @@ class Echelon:
         for p in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[p]
             for c in sorted(k for k in row if k != p and k in self.pivot_rows):
-                x = row.get(c)
-                if x is not None:
-                    vec_add_scaled(row, self.pivot_rows[c], -x)
+                if c in row:
+                    _eliminate(row, self.pivot_rows[c], c)
         self._reduced = True
 
 

@@ -671,3 +671,44 @@ def test_check_rejects_a_unit_key_that_aliases_index_zero(tmp_path, capsys,
     bad.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert "algebra.unit" in capsys.readouterr().err
+
+
+def test_check_reports_a_failing_quantum_commutativity_row(tmp_path):
+    # with b(xi, xi) = -1 and no crossing pair, u(1)*u(1) = 1 is not -1
+    out, report = tmp_path / "fermion.json", tmp_path / "report.json"
+    assert main(["generate", "twisted-group-algebra", "--n", "2", "--N", "1",
+                 "--sigma", "[[1]]", "--out", str(out)]) == 0
+    assert main(["check", str(out), "--expect", "not-quantum-commutative",
+                 "--report", str(report)]) == 0
+    rows = {r["id"]: r for r in json.loads(report.read_text())["checks"]}
+    row = rows["algebra.quantum-commutativity"]
+    assert row["verdict"] is False and row["passed"] is True
+    assert row["witness"] == "(u(1), u(1))"
+
+
+def test_generate_writes_the_same_bytes_to_stdout(tmp_path, capsys):
+    argv = ["generate", "twisted-group-algebra", "--n", "3", "--N", "2",
+            "--omega", "[[0,1],[-1,0]]", "--q", "zeta(3)"]
+    out = tmp_path / "gen.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+def test_suite_on_a_missing_directory_exits_2(tmp_path, capsys):
+    assert main(["suite", str(tmp_path / "missing")]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+
+
+def test_suite_names_a_descriptor_without_an_algebra(tmp_path):
+    data = json.loads((CORPUS / "twisted-z2-trivial.json").read_text())
+    del data["algebra"]
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    (scan / "factor-only.json").write_text(json.dumps(data), encoding="utf-8")
+    report = tmp_path / "suite.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == "no algebra in descriptor"
+    assert row["strong"] is row["galois"] is row["agree"] is None

@@ -63,18 +63,20 @@ def test_hopf_axioms_pass_on_group_likes(torsion):
     assert report.passed, report.failures()
 
 
-def test_hopf_axioms_pass_on_random_combination():
+def test_hopf_axioms_pass_on_random_combination(monkeypatch):
     G = GradingGroup(0, (3,))
     sample = [like(G, (i,)) for i in range(3)]
     sample.append(like(G, (0,)) + like(G, (1,)).scale(2) - like(G, (2,)).scale(5))
-    report = check_hopf_axioms(G, sample)
+    monkeypatch.setattr("qgraded.group_hopf.default_sample", lambda group: sample)
+    report = check_hopf_axioms(G)
     assert report.passed, report.failures()
 
 
-def test_corrupted_antipode_is_caught():
+def test_corrupted_antipode_is_caught(monkeypatch):
     # on Z_2 the identity map IS the antipode (every element is its own
     # inverse), so the fixture uses Z_4 where g != g^{-1}
-    report = check_hopf_axioms(GradingGroup(0, (4,)), antipode=lambda g: g)
+    monkeypatch.setattr(GroupAlgebraElement, "antipode", lambda self: self)
+    report = check_hopf_axioms(GradingGroup(0, (4,)))
     failed = {r.check_id for r in report.failures()}
     assert "hopf.antipode-left" in failed
     assert "hopf.antipode-right" in failed
@@ -93,8 +95,9 @@ def test_the_checks_use_the_element_antipode(monkeypatch):
     assert report.result("hopf.antipode-right").witness == "1*[(1)]"
 
 
-def test_identity_antipode_is_fine_on_z2():
-    report = check_hopf_axioms(GradingGroup(0, (2,)), antipode=lambda g: g)
+def test_identity_antipode_is_fine_on_z2(monkeypatch):
+    monkeypatch.setattr(GroupAlgebraElement, "antipode", lambda self: self)
+    report = check_hopf_axioms(GradingGroup(0, (2,)))
     assert report.passed
 
 

@@ -2,7 +2,8 @@
 every top-level import of a module is used in it, every private name
 the package defines is referenced somewhere in the package, only the
 scalar module constructs a Scalar directly, only the group module
-numbers group elements, and no product is built only to be accumulated."""
+numbers group elements, no product is built only to be accumulated and
+only the commutation module takes powers of commutation-factor values."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,17 @@ def test_no_product_is_built_only_to_be_accumulated():
              and any(product(arg) for arg in
                      node.args[2:] + [kw.value for kw in node.keywords])]
     assert built == []
+
+
+def test_only_the_commutation_module_takes_powers_of_factor_values():
+    # b(g, h) = (-1)^(g sigma h) * q^(g omega h) is written once, in
+    # commutation.py; a power of a value elsewhere is a second copy of it
+    def factor_value(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("generator_value", "evaluate"))
+
+    powers = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+              if name != "commutation.py" for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and factor_value(node.left)]
+    assert powers == []

@@ -150,6 +150,7 @@ def test_pow_zero_base_negative_exponent():
     ("-2/3*zeta(3)", root_of_unity(3) * Fraction(-2, 3)),
     ("zeta(3)^-1", root_of_unity(3, -1)),
     ("2*3", Scalar.from_rational(6)),
+    ("+1", Scalar.one()),
 ])
 def test_parse_examples(text, value):
     assert parse_scalar(text) == value
@@ -170,6 +171,13 @@ def test_parse_error_position():
     with pytest.raises(ScalarParseError) as err:
         parse_scalar("zeta(0)")
     assert err.value.position == 5
+
+
+def test_trailing_input_is_an_error_at_its_position():
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar("1 2")
+    assert err.value.position == 2
+    assert "unexpected trailing input" in str(err.value)
 
 
 def test_parsed_zeta_orders_are_capped_before_any_arithmetic(monkeypatch):
