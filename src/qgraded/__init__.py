@@ -8,37 +8,33 @@ from .algebras import (AlgebraElement, GradedAlgebra, QCReport,
                        build_twisted_group_algebra, check_quantum_commutativity,
                        check_strong_grading, coaction, coinvariants,
                        strong_grading_window)
-from .commutation import (CommutationFactor, DescentResult, StatisticsTable,
-                          check_cqt_axioms, check_quotient_descent,
-                          classify_statistics, convolution_inverse,
-                          standard_factor, trivial_factor)
+from .commutation import (CommutationFactor, check_cqt_axioms, standard_factor,
+                          trivial_factor)
 from .errors import (CapExceededError, DescriptorError, GroupMismatchError,
                      InfiniteGroupError, InternalConsistencyError,
                      QgradedError, ScalarParseError)
 from .galois import (EquivalenceReport, GaloisReport, QuotientSpace,
                      RelativeChain, beta_n, canonical_map,
-                     check_equivalence_theorem, is_galois, relative_tensor)
+                     check_equivalence_theorem, is_galois)
 from .group_hopf import (GroupAlgebraElement, TensorElement, check_hopf_axioms)
 from .groups import GradingGroup, GroupElement
 from .linalg import Echelon, LinearMap
 from .scalars import Scalar, format_scalar, parse_scalar, root_of_unity
 
 __all__ = [
-    "AlgebraElement", "CapExceededError", "CommutationFactor", "DescentResult",
+    "AlgebraElement", "CapExceededError", "CommutationFactor",
     "DescriptorError", "Echelon", "EquivalenceReport", "GaloisReport",
     "GradedAlgebra", "GradingGroup", "GroupAlgebraElement", "GroupElement",
     "GroupMismatchError", "InfiniteGroupError", "InternalConsistencyError",
     "LinearMap", "QCReport", "QgradedError", "QuotientSpace", "RelativeChain",
-    "Scalar", "ScalarParseError", "StatisticsTable", "StrongGradingReport",
-    "TensorElement", "beta_n", "build_b_symmetric_truncation",
-    "build_group_algebra", "build_truncated_poly",
-    "build_twisted_group_algebra", "canonical_map", "check_cqt_axioms",
-    "check_equivalence_theorem", "check_hopf_axioms",
-    "check_quantum_commutativity", "check_quotient_descent",
-    "check_strong_grading", "classify_statistics", "coaction", "coinvariants",
-    "convolution_inverse", "format_scalar", "is_galois", "parse_scalar",
-    "relative_tensor", "root_of_unity", "standard_factor",
-    "strong_grading_window", "trivial_factor",
+    "Scalar", "ScalarParseError", "StrongGradingReport", "TensorElement",
+    "beta_n", "build_b_symmetric_truncation", "build_group_algebra",
+    "build_truncated_poly", "build_twisted_group_algebra", "canonical_map",
+    "check_cqt_axioms", "check_equivalence_theorem", "check_hopf_axioms",
+    "check_quantum_commutativity", "check_strong_grading", "coaction",
+    "coinvariants", "format_scalar", "is_galois", "parse_scalar",
+    "root_of_unity", "standard_factor", "strong_grading_window",
+    "trivial_factor",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ kG for abelian G.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CapExceededError, GroupMismatchError
 from .groups import GradingGroup, GroupElement
@@ -83,20 +82,16 @@ class CommutationFactor:
             for entries in (self._sigma_entries, self._omega_entries))
         self._powers: dict[int, Scalar] = {0: Scalar.one(), 1: q}
         self._cache: dict[tuple, Scalar] = {}
+        # b(xi_i, xi_j)^n_i == 1, with no power above 2m for a value in
+        # Q(zeta_m): a value that is no root of unity has no power 1, a root
+        # of unity one whose order divides 2m
         for i, n_i in enumerate(group.torsion, group.free_rank):
             for j in range(n):
-                if not self._power_is_one(i, j, n_i):
+                x = None if self._height and omega[i][j] else self.generator_value(i, j)
+                if x is None or not (x ** (n_i % (2 * x.order))).is_one():
                     raise ValueError(
                         f"factor is not well-defined on torsion coordinate {i} "
                         f"(modulus {n_i}): b(gen {i}, gen {j})^{n_i} != 1")
-
-    def _power_is_one(self, i: int, j: int, n: int) -> bool:
-        """b(xi_i, xi_j)^n == 1, with no power above 2m for a value in Q(zeta_m):
-        a value that is no root of unity has no power 1, a root of unity one | 2m."""
-        if self._height and self.omega[i][j]:
-            return False
-        x = self.generator_value(i, j)
-        return (x ** (n % (2 * x.order))).is_one()
 
     def check_value_size(self, reach: int):
         """Refuse, before any power is taken, values b(g, h) with all
@@ -137,11 +132,6 @@ class CommutationFactor:
         return self._value(_exponent(self._sigma_lower, g_coords, h_coords),
                            _exponent(self._omega_lower, g_coords, h_coords))
 
-    def inverse(self) -> "CommutationFactor":
-        """The convolution inverse g,h -> b(g,h)^{-1}; again a factor."""
-        neg_omega = tuple(tuple(-x for x in row) for row in self.omega)
-        return CommutationFactor(self.group, self.sigma, neg_omega, self.q)
-
     def __repr__(self):
         return (f"CommutationFactor(group={self.group}, sigma={self.sigma}, "
                 f"omega={self.omega}, q={self.q})")
@@ -156,10 +146,6 @@ def trivial_factor(group: GradingGroup) -> CommutationFactor:
     n = group.ngens
     zero = [[0] * n for _ in range(n)]
     return CommutationFactor(group, zero, zero, Scalar.one())
-
-
-def convolution_inverse(b: CommutationFactor) -> CommutationFactor:
-    return b.inverse()
 
 
 def check_cqt_axioms(b: CommutationFactor) -> CheckReport:
@@ -226,79 +212,3 @@ def check_cqt_axioms(b: CommutationFactor) -> CheckReport:
                  note="all values nonzero; q restricted to exact cyclotomic scalars")
     return report
 
-
-@dataclass
-class DescentResult:
-    """Outcome of the reduction of a factor on Z^N to Z_n^N."""
-
-    descends: bool
-    modulus: int
-    witness: tuple[int, int] | None = None
-    induced: CommutationFactor | None = None
-
-
-def check_quotient_descent(b: CommutationFactor, n: int) -> DescentResult:
-    """Decide whether b on Z^N induces a factor on Z_n^N.
-
-    The condition is b(xi_i, xi_j)^n = 1 for every generator pair; on
-    success the induced factor on Z_n^N is returned.
-    """
-    if b.group.torsion or b.group.free_rank == 0:
-        raise ValueError("descent applies to factors on free groups Z^N")
-    if n < 2:
-        raise ValueError("reduction modulus must be >= 2")
-    N = b.group.free_rank
-    for i in range(N):
-        for j in range(N):
-            if not b._power_is_one(i, j, n):
-                return DescentResult(False, n, witness=(i, j))
-    target = GradingGroup(0, (n,) * N)
-    induced = CommutationFactor(target, b.sigma, b.omega, b.q)
-    return DescentResult(True, n, induced=induced)
-
-
-@dataclass
-class GeneratorStatistics:
-    index: int
-    self_value: Scalar
-    label: str
-
-
-@dataclass
-class PairStatistics:
-    i: int
-    j: int
-    value_ij: Scalar
-    value_ji: Scalar
-    mutual_phase: Scalar
-    label: str
-
-
-@dataclass
-class StatisticsTable:
-    generators: list[GeneratorStatistics]
-    pairs: list[PairStatistics]
-
-
-def _statistics_label(value: Scalar) -> str:
-    if value.is_one():
-        return "bosonic"
-    if (value + Scalar.one()).is_zero():
-        return "fermionic"
-    return "anyonic(q-statistics)"
-
-
-def classify_statistics(b: CommutationFactor) -> StatisticsTable:
-    """Per-generator exchange statistics and pairwise mutual phases."""
-    n = b.group.ngens
-    gens = [GeneratorStatistics(i, b.generator_value(i, i),
-                                _statistics_label(b.generator_value(i, i)))
-            for i in range(n)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vij = b.generator_value(i, j)
-            vji = b.generator_value(j, i)
-            pairs.append(PairStatistics(i, j, vij, vji, vij * vji,
-                                        _statistics_label(vij)))
-    return StatisticsTable(gens, pairs)

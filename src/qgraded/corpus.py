@@ -5,7 +5,7 @@ the expected strong-grading/Galois verdict.  Twisted group algebras here
 use factors with even diagonal sigma entries: a twisted group algebra has
 invertible homogeneous elements, so it can only be quantum commutative
 when b(g, g) = 1 for every grade; odd diagonals are still valid builder
-inputs (they give fermionic self-statistics) but belong in the statistics
+inputs (they give fermionic self-statistics) but belong in the factor
 tests, not in the quantum-commutativity corpus.
 """
 
@@ -131,13 +131,3 @@ def standard_corpus() -> list[CorpusEntry]:
         "deleted-product-fixture", deleted_product_fixture(), None, False))
     return entries
 
-
-def corpus_factors() -> list[tuple[str, CommutationFactor]]:
-    """All corpus factors plus one order-64 factor for the axiom sweep."""
-    out = [(e.name, e.factor) for e in standard_corpus() if e.factor is not None]
-    big = GradingGroup(0, (2,) * 6)
-    sigma = [[(1 if i != j else 0) for j in range(6)] for i in range(6)]
-    out.append(("z2^6-order-64",
-                standard_factor(big, sigma, [[0] * 6 for _ in range(6)],
-                                Scalar.one())))
-    return out

@@ -236,8 +236,3 @@ def load_descriptor(path: str, validate_algebra: bool = True) -> Descriptor:
         return descriptor_from_dict(data, validate_algebra=validate_algebra)
     except DescriptorError as exc:
         raise DescriptorError(f"{path}: {exc}") from exc
-
-
-def save_descriptor(desc: Descriptor, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_descriptor(desc))

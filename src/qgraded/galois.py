@@ -50,12 +50,9 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.basis_ambient)
 
-    def project(self, ambient_vec: Vec) -> Vec:
-        """Class of an ambient vector in quotient coordinates."""
-        return self._project(ambient_vec, 0)
-
-    def _project(self, vec: Vec, offset: int) -> Vec:
-        # project() of the vector with c at offset + a for each a: c of vec
+    def project(self, vec: Vec, offset: int = 0) -> Vec:
+        """Class in quotient coordinates of the ambient vector with c at
+        offset + a for each a: c of vec."""
         out: Vec = {}
         for a, c in vec.items():
             a += offset
@@ -147,14 +144,7 @@ class RelativeChain:
             return A.product_coords(class_idx, j)
         space = self.space(k)
         cprev, m = divmod(space.basis_ambient[class_idx], A.dim)
-        return space._project(A.product_coords(m, j), cprev * A.dim)
-
-
-def relative_tensor(algebra: GradedAlgebra) -> QuotientSpace:
-    """The relative tensor square of the algebra over its identity-grade
-    subalgebra, as an explicit quotient whose ambient position i*dim + j
-    stands for basis vector i (x) basis vector j; the grading group must be finite."""
-    return RelativeChain(algebra).space(1)
+        return space.project(A.product_coords(m, j), cprev * A.dim)
 
 
 def canonical_map(algebra: GradedAlgebra,

@@ -127,14 +127,5 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def reduce_mod(self, n: int) -> "GroupElement":
-        """Image under the componentwise surjection Z^N -> Z_n^N."""
-        if self.group.torsion:
-            raise ValueError("reduction applies to free groups only")
-        if n < 2:
-            raise ValueError("reduction modulus must be >= 2")
-        target = GradingGroup(0, (n,) * self.group.free_rank)
-        return target.element(self.coords)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"

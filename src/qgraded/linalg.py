@@ -136,16 +136,15 @@ def rref(rows: Iterable[Vec]) -> Echelon:
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
     """Basis of {x : Mx = 0} for the matrix whose rows are given."""
     ech = rref(rows)
-    free = [c for c in range(ncols) if c not in ech.pivot_rows]
-    out = []
-    for f in free:
-        v: Vec = {f: Scalar.one()}
-        for p, prow in ech.pivot_rows.items():
-            c = prow.get(f)
-            if c is not None:
-                v[p] = -c
-        out.append(v)
-    return out
+    # one vector per free column f: f first, then -prow[f] at each pivot p in
+    # pivot-row order, filled by one pass over the rows' entries
+    out: dict[int, Vec] = {f: {f: Scalar.one()} for f in range(ncols)
+                           if f not in ech.pivot_rows}
+    for p, prow in ech.pivot_rows.items():
+        for c, x in prow.items():
+            if c != p:
+                out[c][p] = -x
+    return list(out.values())
 
 
 class LinearMap:

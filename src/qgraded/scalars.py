@@ -159,15 +159,6 @@ class Scalar:
 
     # -- embedding ----------------------------------------------------
 
-    def embed(self, order: int) -> "Scalar":
-        """Image under Q(zeta_n) -> Q(zeta_m) with n | m (zeta_n = zeta_m^(m/n))."""
-        n = self.order
-        if order % n != 0:
-            raise ValueError(f"no embedding of order {n} into order {order}")
-        if order == n:
-            return self
-        return Scalar._make(order, self._lift(order), self.den)
-
     def _lift(self, order: int) -> list[int]:
         # numerators of the image in Q(zeta_order), reduced
         step = order // self.order

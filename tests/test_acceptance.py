@@ -8,12 +8,12 @@ criterion shows up as an ordinary pytest failure.  Run with
 
 import time
 
+import pytest
+
 from qgraded.algebras import (build_b_symmetric_truncation,
                               build_truncated_poly,
                               check_quantum_commutativity, coinvariants)
-from qgraded.commutation import (check_cqt_axioms, check_quotient_descent,
-                                 standard_factor, trivial_factor)
-from qgraded.corpus import corpus_factors
+from qgraded.commutation import check_cqt_axioms, standard_factor, trivial_factor
 from qgraded.galois import beta_n, check_equivalence_theorem, is_galois
 from qgraded.group_hopf import check_hopf_axioms
 from qgraded.groups import GradingGroup
@@ -53,8 +53,19 @@ def test_criterion_1_equivalence_theorem(corpus):
               f"algebras in {elapsed:.1f}s")
 
 
-def test_criterion_2_cqt_axioms_on_all_triples():
-    factors = corpus_factors()
+def corpus_factors(corpus):
+    """All corpus factors plus one order-64 factor for the axiom sweep."""
+    out = [(e.name, e.factor) for e in corpus if e.factor is not None]
+    big = GradingGroup(0, (2,) * 6)
+    sigma = [[(1 if i != j else 0) for j in range(6)] for i in range(6)]
+    out.append(("z2^6-order-64",
+                standard_factor(big, sigma, [[0] * 6 for _ in range(6)],
+                                Scalar.one())))
+    return out
+
+
+def test_criterion_2_cqt_axioms_on_all_triples(corpus):
+    factors = corpus_factors(corpus)
     checked = 0
     for name, b in factors:
         assert b.group.is_finite and b.group.order <= 64, name
@@ -121,17 +132,16 @@ def test_criterion_5_pauli_exclusion():
 
 
 def test_criterion_6_descent_parity():
-    G = GradingGroup(2)
+    # b on Z^2 descends to Z_n^2 iff the factor builds on the quotient group
     sigma = [[0, 1], [1, 0]]  # odd entry
     omega = [[0, 1], [-1, 0]]
     for n in range(2, 13):
-        b = standard_factor(G, sigma, omega, root_of_unity(n))
-        result = check_quotient_descent(b, n)
-        assert result.descends == (n % 2 == 0), n
-        if result.descends:
-            assert result.induced is not None
+        Q = GradingGroup(0, (n, n))
+        if n % 2 == 0:
+            assert standard_factor(Q, sigma, omega, root_of_unity(n)).group == Q
         else:
-            assert result.witness == (0, 1)
+            with pytest.raises(ValueError, match=rf"b\(gen 0, gen 1\)\^{n} != 1"):
+                standard_factor(Q, sigma, omega, root_of_unity(n))
     report(6, "with q a primitive n-th root and an odd sigma entry, "
               "reduction to Z_n^N succeeds exactly for even n (n <= 12)")
 

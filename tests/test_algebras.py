@@ -313,13 +313,12 @@ def test_twisted_builder_generator_relations():
 
 
 def test_twisted_builder_self_statistics_recorded():
-    from qgraded.commutation import classify_statistics
     G = GradingGroup(0, (2,))
     b = standard_factor(G, [[1]], [[0]], Scalar.one())
     A = build_twisted_group_algebra(G, b)
     u = A.basis_element(1)
     assert u * u == A.one()
-    assert classify_statistics(b).generators[0].label == "fermionic"
+    assert b.generator_value(0, 0) == -1  # fermionic
 
 
 def test_twisted_builder_adds_no_group_elements_itself(monkeypatch):

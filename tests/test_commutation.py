@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraded.commutation import (_height, check_cqt_axioms, check_quotient_descent,
-                                 classify_statistics, convolution_inverse,
-                                 standard_factor, trivial_factor)
+from qgraded.commutation import _height, check_cqt_axioms, standard_factor, trivial_factor
 from qgraded.errors import CapExceededError
 from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar, format_scalar, root_of_unity
@@ -222,7 +220,7 @@ def test_broken_pairing_on_the_sample_gives_its_first_witness(make, g, h, right,
     assert report.result("cqt.convolution-invertible").passed
 
 
-def test_equal_values_stored_at_different_orders_give_no_witness(monkeypatch):
+def test_equal_values_stored_at_different_orders_give_no_witness(monkeypatch, embed):
     # b(g, h) in Q(zeta_3) and the same value embedded in Q(zeta_12) have
     # different stored forms; the laws compare values, not forms
     G = GradingGroup(0, (3, 3))
@@ -231,7 +229,7 @@ def test_equal_values_stored_at_different_orders_give_no_witness(monkeypatch):
 
     def mixed(g, h):
         value = evaluate(g, h)
-        return value.embed(12) if (g.coords[0] + h.coords[1]) % 2 else value
+        return embed(value, 12) if (g.coords[0] + h.coords[1]) % 2 else value
 
     monkeypatch.setattr(b, "evaluate", mixed)
     report = check_cqt_axioms(b)
@@ -293,25 +291,28 @@ def test_bicharacter_laws_exhaustively_on_small_groups():
             assert b.evaluate(g, h + k) == b.evaluate(g, h) * b.evaluate(g, k)
 
 
-# -- quotient descent -------------------------------------------------------
+# -- quotient descent: building the factor on Z_n^N ------------------------
+
+def _descent_error(sigma, omega, q, n):
+    """The constructor's error for (sigma, omega, q) on Z_n^N, None if it builds."""
+    N = len(sigma)
+    try:
+        b = standard_factor(GradingGroup(0, (n,) * N), sigma, omega, q)
+    except ValueError as exc:
+        return str(exc)
+    assert b.group == GradingGroup(0, (n,) * N)
+    return None
+
 
 def test_descent_succeeds_for_even_roots():
-    G = GradingGroup(2)
     for n in (2, 4, 6, 8):
-        b = standard_factor(G, [[1, 1], [1, 1]], [[0, 1], [-1, 0]],
-                            root_of_unity(n))
-        result = check_quotient_descent(b, n)
-        assert result.descends
-        assert result.induced is not None
-        assert result.induced.group == GradingGroup(0, (n, n))
+        assert _descent_error([[1, 1], [1, 1]], [[0, 1], [-1, 0]],
+                              root_of_unity(n), n) is None
 
 
 def test_descent_fails_for_odd_root_with_odd_sigma():
-    b = standard_factor(GradingGroup(2), [[0, 1], [1, 0]],
-                        [[0, 0], [0, 0]], root_of_unity(3))
-    result = check_quotient_descent(b, 3)
-    assert not result.descends
-    assert result.witness == (0, 1)
+    error = _descent_error([[0, 1], [1, 0]], [[0, 0], [0, 0]], root_of_unity(3), 3)
+    assert "b(gen 0, gen 1)^3 != 1" in error
 
 
 def test_descent_takes_no_power_above_twice_the_order_of_a_root_of_unity(monkeypatch):
@@ -322,20 +323,14 @@ def test_descent_takes_no_power_above_twice_the_order_of_a_root_of_unity(monkeyp
         return pow_(self, exponent)
 
     monkeypatch.setattr(Scalar, "__pow__", bounded)
-    G = GradingGroup(2)
     # b(xi_0, xi_1) = 2 is no root of unity, so it has no power 1
-    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], Scalar.from_rational(2))
-    result = check_quotient_descent(b, 10 ** 9)
-    assert not result.descends and result.witness == (0, 1)
+    error = _descent_error([[0, 0], [0, 0]], [[0, 1], [-1, 0]],
+                           Scalar.from_rational(2), 10 ** 9)
+    assert "b(gen 0, gen 1)^1000000000 != 1" in error
     # b(xi_0, xi_1) = -zeta_4 has order 4, and (10^9 + 2) % 8 == 2
-    b = standard_factor(G, [[0, 1], [1, 0]], [[0, 1], [-1, 0]], root_of_unity(4))
-    result = check_quotient_descent(b, 10 ** 9 + 2)
-    assert not result.descends and result.witness == (0, 1)
-    assert check_quotient_descent(b, 2).witness == (0, 1)
-    # the constructor's torsion condition is the same test
-    with pytest.raises(ValueError, match=r"gen 0, gen 1\)\^1000000002 != 1"):
-        standard_factor(GradingGroup(0, (10 ** 9 + 2,) * 2), [[0, 1], [1, 0]],
-                        [[0, 1], [-1, 0]], root_of_unity(4))
+    for n in (10 ** 9 + 2, 2):
+        error = _descent_error([[0, 1], [1, 0]], [[0, 1], [-1, 0]], root_of_unity(4), n)
+        assert f"b(gen 0, gen 1)^{n} != 1" in error
 
 
 def _order(x):
@@ -349,45 +344,38 @@ def _order(x):
                                root_of_unity(4), Scalar.from_rational(2)],
                          ids=["1", "-1", "zeta3", "zeta4", "2"])
 def test_descent_holds_exactly_when_the_factor_builds_on_the_quotient(q, n):
+    # the factor on Z^2 induces one on Z_n^2 iff b(xi_i, xi_j)^n = 1 for
+    # every generator pair; the error names the first failing pair
     for s00, s01, s11 in itertools.product((0, 1), repeat=3):
         for w in (0, 1, -1, 2, -2):
             sigma, omega = [[s00, s01], [s01, s11]], [[0, w], [-w, 0]]
             b = standard_factor(GradingGroup(2), sigma, omega, q)
             failing = [(i, j) for i in range(2) for j in range(2)
                        if (k := _order(b.generator_value(i, j))) is None or n % k]
-            result = check_quotient_descent(b, n)
-            try:
-                standard_factor(GradingGroup(0, (n, n)), sigma, omega, q)
-            except ValueError as exc:
-                assert not result.descends
+            error = _descent_error(sigma, omega, q, n)
+            if failing:
                 i, j = failing[0]
-                assert f"b(gen {i}, gen {j})^{n} != 1" in str(exc)
+                assert f"b(gen {i}, gen {j})^{n} != 1" in error
             else:
-                assert result.descends
-            assert result.descends == (not failing)
-            assert result.witness == (failing[0] if failing else None)
+                assert error is None
 
 
 def test_descent_trivial_factor_always_descends():
-    b = trivial_factor(GradingGroup(3))
     for n in (2, 3, 5):
-        assert check_quotient_descent(b, n).descends
+        assert _descent_error([[0] * 3] * 3, [[0] * 3] * 3, Scalar.one(), n) is None
 
 
 def test_descent_parity_rule():
     """With q a primitive n-th root and an odd sigma entry, descent holds
     exactly for even n."""
-    G = GradingGroup(2)
     for n in range(2, 13):
-        b = standard_factor(G, [[0, 1], [1, 0]], [[0, 1], [-1, 0]],
-                            root_of_unity(n))
-        assert check_quotient_descent(b, n).descends == (n % 2 == 0)
+        error = _descent_error([[0, 1], [1, 0]], [[0, 1], [-1, 0]], root_of_unity(n), n)
+        assert (error is None) == (n % 2 == 0)
 
 
 def test_induced_factor_satisfies_bicharacter_laws():
-    b = standard_factor(GradingGroup(2), [[0, 1], [1, 0]], [[0, 2], [-2, 0]],
-                        root_of_unity(4))
-    induced = check_quotient_descent(b, 4).induced
+    induced = standard_factor(GradingGroup(0, (4, 4)), [[0, 1], [1, 0]],
+                              [[0, 2], [-2, 0]], root_of_unity(4))
     els = induced.group.elements()
     rng = random.Random(7)
     for _ in range(50):
@@ -401,59 +389,23 @@ def test_induced_factor_satisfies_bicharacter_laws():
        s01=st.integers(0, 3), s00=st.integers(0, 3), s11=st.integers(0, 3),
        w=st.integers(-3, 3))
 def test_descent_always_holds_for_even_primitive_roots(n, s01, s00, s11, w):
-    b = standard_factor(GradingGroup(2), [[s00, s01], [s01, s11]],
-                        [[0, w], [-w, 0]], root_of_unity(n))
-    assert check_quotient_descent(b, n).descends
-
-
-# -- convolution inverse ----------------------------------------------------
-
-def test_convolution_inverse_on_generators():
-    G = GradingGroup(2)
-    q = root_of_unity(8)
-    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], q)
-    inv = convolution_inverse(b)
-    assert inv.generator_value(0, 1) == q.inverse()
-    triv = trivial_factor(G)
-    assert convolution_inverse(triv).generator_value(0, 1) == 1
+    assert _descent_error([[s00, s01], [s01, s11]], [[0, w], [-w, 0]],
+                          root_of_unity(n), n) is None
 
 
 def test_pointwise_product_with_inverse_is_one():
+    # the inverse of b is b with omega negated: q^(-w) goes through the
+    # factor's one inverse of q
     G = GradingGroup(2)
-    b = standard_factor(G, [[1, 1], [1, 0]], [[0, 3], [-3, 0]], root_of_unity(6))
-    inv = b.inverse()
+    q = root_of_unity(6)
+    b = standard_factor(G, [[1, 1], [1, 0]], [[0, 3], [-3, 0]], q)
+    inv = standard_factor(G, [[1, 1], [1, 0]], [[0, -3], [3, 0]], q)
+    assert b.generator_value(0, 1) * inv.generator_value(0, 1) == 1
     rng = random.Random(11)
     for _ in range(20):
         g = G.element((rng.randint(-4, 4), rng.randint(-4, 4)))
         h = G.element((rng.randint(-4, 4), rng.randint(-4, 4)))
         assert b.evaluate(g, h) * inv.evaluate(g, h) == 1
-
-
-# -- statistics classification ---------------------------------------------
-
-def test_classify_all_fermionic():
-    b = standard_factor(GradingGroup(2), [[1, 0], [0, 1]],
-                        [[0, 0], [0, 0]], Scalar.one())
-    table = classify_statistics(b)
-    assert all(row.label == "fermionic" for row in table.generators)
-
-
-def test_classify_all_bosonic():
-    table = classify_statistics(trivial_factor(GradingGroup(3)))
-    assert all(row.label == "bosonic" for row in table.generators)
-    assert all(p.mutual_phase == 1 for p in table.pairs)
-
-
-def test_classify_anyonic_pair_with_trivial_mutual_phase():
-    z4 = root_of_unity(4)
-    b = standard_factor(GradingGroup(2), [[0, 0], [0, 0]],
-                        [[0, 1], [-1, 0]], z4)
-    table = classify_statistics(b)
-    assert all(row.label == "bosonic" for row in table.generators)
-    pair = table.pairs[0]
-    assert pair.value_ij == z4
-    assert pair.label == "anyonic(q-statistics)"
-    assert pair.mutual_phase == 1
 
 
 def test_sigma_reduced_mod_two_on_ingestion():

@@ -8,7 +8,7 @@ from qgraded.commutation import standard_factor
 from qgraded.descriptors import (Descriptor, descriptor_from_dict,
                                  descriptor_to_dict, dump_descriptor,
                                  group_from_dict, group_to_dict,
-                                 load_descriptor, save_descriptor)
+                                 load_descriptor)
 from qgraded.errors import DescriptorError
 from qgraded.groups import GradingGroup
 from qgraded.scalars import parse_scalar
@@ -51,7 +51,7 @@ def test_dump_is_canonical_bytes():
 
 def test_save_and_load(tmp_path):
     path = tmp_path / "sample.json"
-    save_descriptor(sample_descriptor(), str(path))
+    path.write_text(dump_descriptor(sample_descriptor()), encoding="utf-8")
     desc = load_descriptor(str(path))
     assert desc.algebra.dim == 4
 

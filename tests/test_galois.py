@@ -21,7 +21,7 @@ from qgraded.errors import (CapExceededError, InfiniteGroupError,
                             InternalConsistencyError)
 from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
                             canonical_map, check_equivalence_theorem,
-                            is_galois, relative_tensor)
+                            is_galois)
 from qgraded.group_hopf import TensorElement
 from qgraded.groups import GradingGroup
 from qgraded.linalg import Echelon, rref, vec_add_scaled
@@ -111,14 +111,14 @@ def _truncated_poly_over_z2():
 # -- relative tensor square --------------------------------------------------
 
 def test_relative_tensor_dimension_twisted_z2():
-    space = relative_tensor(twisted_z2())
+    space = RelativeChain(twisted_z2()).space(1)
     assert space.ambient_dim == 4
     assert space.dim == 4
     assert space.relation_rank == 0
 
 
 def test_relative_tensor_dimension_truncated_poly():
-    assert relative_tensor(build_truncated_poly(2)).dim == 4
+    assert RelativeChain(build_truncated_poly(2)).space(1).dim == 4
 
 
 def test_relative_tensor_trivial_extension_collapses_to_the_algebra():
@@ -130,7 +130,7 @@ def test_relative_tensor_trivial_extension_collapses_to_the_algebra():
                 for i in range(2) for j in range(2)}
     from qgraded.algebras import GradedAlgebra
     A = GradedAlgebra(group, basis, products, {0: Scalar.one()})
-    space = relative_tensor(A)
+    space = RelativeChain(A).space(1)
     assert space.dim == A.dim
     assert space.ambient_dim - space.relation_rank == space.dim
 
@@ -142,7 +142,7 @@ def test_balanced_law_holds_in_the_quotient():
                 for i in range(4) for j in range(4)}
     from qgraded.algebras import GradedAlgebra
     A = GradedAlgebra(G, basis, products, {0: Scalar.one()})
-    space = relative_tensor(A)
+    space = RelativeChain(A).space(1)
     sub = A.component(G.identity())
     for a in range(A.dim):
         for x in sub:
@@ -158,7 +158,7 @@ def test_balanced_law_holds_in_the_quotient():
 
 def test_rank_identity(corpus):
     for entry in corpus:
-        space = relative_tensor(entry.algebra)
+        space = RelativeChain(entry.algebra).space(1)
         assert space.ambient_dim == space.dim + space.relation_rank, entry.name
 
 
@@ -166,7 +166,7 @@ def test_projection_kills_exactly_the_relations(corpus):
     for entry in corpus:
         if entry.algebra.dim > 6:
             continue
-        space = relative_tensor(entry.algebra)
+        space = RelativeChain(entry.algebra).space(1)
         for row in space.relations:
             assert space.project(row) == {}, entry.name
         # representatives project to distinct unit vectors
@@ -467,7 +467,7 @@ def test_the_beta_machinery_refuses_an_infinite_group_before_any_work(monkeypatc
         raise AssertionError("coinvariants computed over an infinite group")
 
     monkeypatch.setattr("qgraded.galois.coinvariants", fail)
-    for call in (RelativeChain, relative_tensor, is_galois, canonical_map,
+    for call in (RelativeChain, is_galois, canonical_map,
                  lambda A: beta_n(A, 1)):
         with pytest.raises(InfiniteGroupError, match="finite grading group"):
             call(A)

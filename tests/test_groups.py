@@ -64,37 +64,26 @@ def test_enumeration_closed_under_ops():
     ((2, 4), 2, (0, 0)),
 ])
 def test_reduce_mod_examples(coords, n, expected):
-    g = GradingGroup(2).element(coords)
-    assert g.reduce_mod(n).coords == expected
+    # Z^N -> Z_n^N is element() on the quotient group
+    assert GradingGroup(0, (n, n)).element(coords).coords == expected
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=2),
        st.lists(st.integers(-20, 20), min_size=2, max_size=2),
        st.integers(2, 7))
 def test_reduce_mod_is_a_homomorphism(a, b, n):
-    G = GradingGroup(2)
+    G, Q = GradingGroup(2), GradingGroup(0, (n, n))
     g, h = G.element(tuple(a)), G.element(tuple(b))
-    assert (g + h).reduce_mod(n) == g.reduce_mod(n) + h.reduce_mod(n)
+    assert Q.element((g + h).coords) == Q.element(g.coords) + Q.element(h.coords)
 
 
 @pytest.mark.parametrize("n,N", [(2, 1), (3, 2), (4, 2)])
 def test_reduce_mod_is_surjective(n, N):
-    G = GradingGroup(N)
     target = GradingGroup(0, (n,) * N)
     hits = set()
     for g in target.elements():
-        hits.add(G.element(g.coords).reduce_mod(n).coords)
+        hits.add(target.element(tuple(c - 3 * n for c in g.coords)).coords)
     assert hits == {g.coords for g in target.elements()}
-
-
-def test_reduce_mod_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        GradingGroup(1).element((1,)).reduce_mod(1)
-
-
-def test_reduce_mod_requires_free_group():
-    with pytest.raises(ValueError):
-        GradingGroup(0, (4,)).element((1,)).reduce_mod(2)
 
 
 def test_torsion_validation():

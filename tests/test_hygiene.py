@@ -1,16 +1,25 @@
 """Dead-symbol guard for the package, written on the standard library's ast:
 every top-level import of a module is used in it, every private name
-the package defines is referenced somewhere in the package, only the
-scalar module constructs a Scalar directly, only the group module
-numbers group elements, no product is built only to be accumulated and
-only the commutation module takes powers of commutation-factor values."""
+the package defines is referenced somewhere in the package, every public
+function, class and method is referenced by the program (the package,
+the scripts or the benchmark), `__all__` is exactly what `__init__`
+imports, only the scalar module constructs a Scalar directly, only the
+group module numbers group elements, no product is built only to be
+accumulated and only the commutation module takes powers of
+commutation-factor values."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgraded"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qgraded"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
+# the program outside the package that may call it
+CALLERS = {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+           for folder in ("scripts", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))}
+# public functions, classes and methods kept with no caller in the program
+UNREFERENCED_PUBLIC_API: set[str] = set()
 
 
 def _private(name: str) -> bool:
@@ -74,6 +83,36 @@ def test_every_private_name_is_referenced_outside_its_definition():
             if not any(r == symbol and id(n) not in inside for r, n in refs):
                 dead.append(f"{name}: {symbol}")
     assert dead == []
+
+
+def test_every_public_definition_is_referenced_by_the_program():
+    # a reference from tests or from __init__'s re-export does not count; a
+    # string counts part by part, so "LinearMap.rank" references both names
+    trees = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+    refs = [(name, part, node) for name, tree in {**trees, **CALLERS}.items()
+            for ref, node in _references(tree) for part in ref.split(".")]
+    dead = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(r == node.name and (where != name or id(n) not in inside)
+                       for where, r, n in refs):
+                dead.append(f"{name}: {node.name}")
+    assert sorted(set(dead) - UNREFERENCED_PUBLIC_API) == []
+
+
+def test_all_is_exactly_the_names_init_imports():
+    import qgraded
+    imported = [alias.asname or alias.name for stmt in TREES["__init__.py"].body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names]
+    assert len(qgraded.__all__) == len(set(qgraded.__all__))
+    assert set(qgraded.__all__) == set(imported)
+    namespace: dict = {}
+    exec("from qgraded import *", namespace)  # raises on a name that does not resolve
+    assert set(qgraded.__all__) <= set(namespace)
 
 
 def test_scalars_are_constructed_only_in_the_scalar_module():

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from qgraded import linalg
+from qgraded.algebras import build_truncated_poly
+from qgraded.galois import canonical_map
 from qgraded.linalg import (Echelon, LinearMap, echelon, kernel_basis, rref,
                             vec_add_scaled)
 from qgraded.scalars import Scalar, root_of_unity
@@ -149,6 +152,14 @@ def _dense_rank(dense: list[list[Scalar]]) -> int:
 _I = root_of_unity(4)
 
 
+def _scanned_kernel(pivot_rows, ncols):
+    """The kernel vectors, keys in order, by scanning every pivot row for
+    each free column f: f first, then -row[f] at each pivot in row order."""
+    return [[(f, Scalar.one())] + [(p, -row[f]) for p, row in pivot_rows.items() if f in row]
+            for f in range(ncols) if f not in pivot_rows]
+
+
+
 @settings(max_examples=40, deadline=None)
 @given(cyclotomic_matrices())
 # rank 1 over Q(i) (row 2 is i * row 1), rank 2 over any real field
@@ -156,12 +167,15 @@ _I = root_of_unity(4)
 def test_rank_over_cyclotomic_fields_agrees_with_dense_elimination(dense):
     rows = [{i: x for i, x in enumerate(r) if not x.is_zero()} for r in dense]
     assert echelon(rows).rank == _dense_rank(dense)
-    for v in kernel_basis(rows, len(dense[0])):
+    kernel = kernel_basis(rows, len(dense[0]))
+    for v in kernel:
         for row in rows:
             total = Scalar.zero()
             for c, x in v.items():
                 total = total + row.get(c, Scalar.zero()) * x
             assert total.is_zero()
+    assert [list(v.items()) for v in kernel] == _scanned_kernel(rref(rows).pivot_rows,
+                                                                len(dense[0]))
 
 
 def test_linear_map_bijectivity():
@@ -224,3 +238,49 @@ def test_elimination_never_changes_or_stores_its_input_rows(rows):
     assert rows == before
     for e in built:
         assert not ids & {id(p) for p in e.pivot_rows.values()}
+
+
+class _CountingRow(dict):
+    """A pivot row that counts the entries it is asked for, one by one."""
+
+    def __init__(self, row, counter):
+        super().__init__(row)
+        self.counter = counter
+
+    def get(self, *args):
+        self.counter[0] += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.counter[0] += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.counter[0] += 1
+        return super().__contains__(key)
+
+    def items(self):
+        for item in super().items():
+            self.counter[0] += 1
+            yield item
+
+
+def test_kernel_reads_each_pivot_row_entry_about_once(monkeypatch):
+    # beta of k[x]/(x^64) over Z_64: every free column's vector used to scan
+    # every pivot row, (free columns) x (pivot rows) lookups in all
+    beta = canonical_map(build_truncated_poly(64))
+    counter, rows = [0], {}
+
+    def counted_rref(given):
+        ech = rref(given)
+        ech.pivot_rows = {p: _CountingRow(row, counter) for p, row in ech.pivot_rows.items()}
+        rows.update(ech.pivot_rows)
+        return ech
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    kernel = beta.kernel()
+    nnz = sum(len(row) for row in rows.values())
+    free = beta.domain_dim - len(rows)
+    assert len(kernel) == free and free * len(rows) > 100 * nnz
+    assert counter[0] <= 2 * nnz
+    assert [list(v.items()) for v in kernel] == _scanned_kernel(rows, beta.domain_dim)
