@@ -1,8 +1,8 @@
 """Command-line front end: check descriptors, generate examples, run suites.
 
 Exit codes: 0 all requested checks passed, 1 a check failed or a suite
-row disagreed, 2 unparseable input or invalid parameters, 3 a resource
-cap was exceeded.
+row disagreed, 2 unparseable input, invalid parameters or an unwritable
+output path, 3 a resource cap was exceeded.
 """
 
 from __future__ import annotations
@@ -81,11 +81,21 @@ def _admit(path: str, max_group_order: int) -> Descriptor:
         _check_algebra_dim(desc.algebra.dim)
     group = desc.group
     _check_group_size(group, max_group_order)
-    if desc.factor is not None:  # b meets |g_i*h_j| <= 8 in the cqt sample, m^2 in qc
+    if desc.factor is not None:  # b meets |g_i*h_j| <= 8 on GradingGroup.sample, m^2 in qc
         m = max((abs(x) for _, g in (desc.algebra.basis if desc.algebra else [])
                  for x in g.coords[:group.free_rank]), default=0)
         desc.factor.check_value_size(max(8, m * m))
     return desc
+
+
+def _write(path: str, text: str) -> bool:
+    """Write an output file, or print one error line naming the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _count(n: int) -> str:
@@ -162,8 +172,8 @@ def cmd_check(args) -> int:
     report = {"input": Path(args.file).name,
               "passed": all(r["passed"] for r in rows),
               "checks": rows}
-    if args.report:
-        Path(args.report).write_text(canonical_json(report), encoding="utf-8")
+    if args.report and not _write(args.report, canonical_json(report)):
+        return 2
     for r in rows:
         if args.verbose or not r["passed"]:
             mark = "PASS" if r["passed"] else "FAIL"
@@ -223,7 +233,8 @@ def cmd_generate(args) -> int:
         return 3 if isinstance(exc, CapExceededError) else 2
     text = dump_descriptor(desc)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        if not _write(args.out, text):
+            return 2
         if args.verbose:
             print(f"wrote {args.out}")
     else:
@@ -272,10 +283,10 @@ def cmd_suite(args) -> int:
         print(f"{r['file']:<{width}}  {cell(r['strong']):>6}  "
               f"{cell(r['galois']):>6}  {cell(r['agree']):>5}  "
               f"{r['seconds']:>7.3f}" + (f"  ERROR: {r['error']}" if r["error"] else ""))
-    if args.report:
-        Path(args.report).write_text(canonical_json({
+    if args.report and not _write(args.report, canonical_json({
             "rows": [{k: v for k, v in r.items() if k != "seconds"}
-                     for r in rows]}), encoding="utf-8")
+                     for r in rows]})):
+        return 2
     bad = any(r["error"] is not None or r["agree"] is False for r in rows)
     return 1 if bad else 0
 

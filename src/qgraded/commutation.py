@@ -44,8 +44,8 @@ class CommutationFactor:
     Construction validates symmetry of sigma, antisymmetry of omega,
     q != 0, and for torsion groups the well-definedness condition
     b(xi_i, xi_j)^{n_i} = 1 on every generator pair touching a torsion
-    coordinate.  Powers of q and values are cached; instances are
-    immutable.
+    coordinate.  The powers of q it takes are memoised; sigma, omega and q
+    are fixed at construction.
     """
 
     def __init__(self, group: GradingGroup, sigma, omega, q: Scalar):
@@ -81,7 +81,6 @@ class CommutationFactor:
             tuple(e for e in entries if e[0] > e[1])
             for entries in (self._sigma_entries, self._omega_entries))
         self._powers: dict[int, Scalar] = {0: Scalar.one(), 1: q}
-        self._cache: dict[tuple, Scalar] = {}
         # b(xi_i, xi_j)^n_i == 1, with no power above 2m for a value in
         # Q(zeta_m): a value that is no root of unity has no power 1, a root
         # of unity one whose order divides 2m
@@ -119,12 +118,8 @@ class CommutationFactor:
         """b(g, h), the bimultiplicative extension of the generator values."""
         if g.group != self.group or h.group != self.group:
             raise GroupMismatchError("elements do not belong to the factor's group")
-        key = (g.coords, h.coords)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = self._value(
-                _exponent(self._sigma_entries, *key), _exponent(self._omega_entries, *key))
-        return cached
+        return self._value(_exponent(self._sigma_entries, g.coords, h.coords),
+                           _exponent(self._omega_entries, g.coords, h.coords))
 
     def crossing_cocycle(self, g_coords, h_coords) -> Scalar:
         """The cocycle of the ordered monomials: b on the crossing generator
@@ -156,21 +151,14 @@ def check_cqt_axioms(b: CommutationFactor) -> CheckReport:
     which is what the report checks.  The two bimultiplicativity laws run over
     all triples of a sample, the binary laws (commutation identity,
     pointwise convolution invertibility) over all its pairs.  The sample
-    is the whole group up to order 64, otherwise the identity, the
-    generators, their inverses and their doubles.
+    is `GradingGroup.sample`.
 
-    The cube runs on ids, positions in the sample with sums outside it (Z^N
-    only) after it.  Each b(x, y) with x or y in the sample is evaluated once
+    The cube runs on ids, positions in the sample with sums outside it after
+    it.  Each b(x, y) with x or y in the sample is evaluated once
     and interned by its stored form, products are memoised on pairs of value
     ids, and differing ids are confirmed by Scalar equality (one form per order).
     """
-    group = b.group
-    if group.is_finite and group.order <= 64:
-        els = group.elements()
-    else:
-        gens = group.generators()
-        pool = [group.identity()] + gens + [-g for g in gens] + [g + g for g in gens]
-        els = list(dict.fromkeys(pool))
+    els = b.group.sample()
     n, ids = len(els), {g: i for i, g in enumerate(els)}
     add = [[ids.setdefault(h + k, len(ids)) for k in els] for h in els]
     pts = list(ids)

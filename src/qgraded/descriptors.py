@@ -164,6 +164,8 @@ def algebra_from_dict(group: GradingGroup, d: dict,
             _require(isinstance(term, dict) and set(term) == {"basis", "coeff"},
                      f"{where}.result[{rpos}] must have exactly 'basis' and 'coeff'")
             k = check_index(term["basis"], f"{where}.result[{rpos}].basis")
+            # a repeated index would let the last term silently win
+            _require(k not in vec, f"{where}.result[{rpos}].basis: basis index {k} repeats")
             vec[k] = scalar(term["coeff"], f"{where}.result[{rpos}].coeff")
         products[(i, j)] = vec
     name = d.get("name")

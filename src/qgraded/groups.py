@@ -64,6 +64,16 @@ class GradingGroup:
         return [GroupElement(self, coords)
                 for coords in itertools.product(*(range(n) for n in self.torsion))]
 
+    def sample(self) -> list["GroupElement"]:
+        """The elements the law checks run on: the whole group, in `elements()`
+        order, up to order 64; otherwise the identity, the generators, their
+        inverses and their doubles, each kept once, in that order."""
+        if self.is_finite and self.order <= 64:
+            return self.elements()
+        gens = self.generators()
+        return list(dict.fromkeys(
+            [self.identity()] + gens + [-g for g in gens] + [g + g for g in gens]))
+
     def index(self, coords) -> int:
         """Position in `elements()` of the reduced element with these coordinates."""
         if not self.is_finite:

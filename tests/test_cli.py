@@ -673,6 +673,35 @@ def test_check_rejects_a_unit_key_that_aliases_index_zero(tmp_path, capsys,
     assert "algebra.unit" in capsys.readouterr().err
 
 
+def test_check_rejects_a_repeated_basis_index_in_one_product(tmp_path, capsys):
+    # u*u given twice on basis index 0: the last term would silently win
+    data = json.loads((CORPUS / "twisted-z2-trivial.json").read_text())
+    entry = data["algebra"]["products"][3]
+    assert (entry["left"], entry["right"]) == (1, 1)
+    entry["result"] = [{"basis": 0, "coeff": "5"}, {"basis": 0, "coeff": "1"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert "algebra.products[3].result[1].basis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "suite", "generate"])
+def test_an_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    shutil.copy(CORPUS / "twisted-z2-trivial.json", scan)
+    argv = {"check": ["check", str(scan / "twisted-z2-trivial.json"),
+                      "--report", str(target)],
+            "suite": ["suite", str(scan), "--report", str(target)],
+            "generate": ["generate", "truncated-poly", "--m", "3", "--out", str(target)],
+            }[command]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(target) in line
+    assert not target.exists()
+
+
 def test_check_reports_a_failing_quantum_commutativity_row(tmp_path):
     # with b(xi, xi) = -1 and no crossing pair, u(1)*u(1) = 1 is not -1
     out, report = tmp_path / "fermion.json", tmp_path / "report.json"

@@ -270,6 +270,21 @@ def test_cqt_sample_evaluates_each_pair_of_ids_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= len(ids) ** 2
 
 
+@pytest.mark.parametrize("group, omega, q", [
+    (GradingGroup(3), [[0, 1, 2], [-1, 0, 1], [-2, -1, 0]], Scalar.from_rational(2)),
+    (GradingGroup(2, (3,)), [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]], root_of_unity(3)),
+], ids=["Z^3", "Z^2xZ_3"])
+def test_cqt_check_reaches_exactly_the_admission_bound(monkeypatch, group, omega, q):
+    # cli._admit bounds b's values for every free |g_i*h_j| <= 8: a sample
+    # element (|coords| <= 2) times a sum of two (|coords| <= 4)
+    n = group.ngens
+    b = standard_factor(group, [[0] * n] * n, omega, q)
+    calls = _counting(monkeypatch, b)
+    assert check_cqt_axioms(b).passed
+    r = group.free_rank
+    assert max(abs(x * y) for g, h in calls for x in g[:r] for y in h[:r]) == 8
+
+
 def test_cqt_report_documents_commutativity_reduction():
     report = check_cqt_axioms(trivial_factor(GradingGroup(0, (2,))))
     note = report.result("cqt.commutation-identity").note

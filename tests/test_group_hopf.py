@@ -223,3 +223,25 @@ def test_hopf_checks_evaluate_each_map_once_per_sample_element(monkeypatch):
     # one per product, one per sample element, one per key in the laws
     # that apply a map to one slot of a coproduct, one on the unit
     assert max(calls.values()) <= size * size + 4 * size, calls
+
+
+@pytest.mark.parametrize("group", [GradingGroup(0, (4, 4)), GradingGroup(0, (3,) * 4),
+                                   GradingGroup(0, (2,) * 8), GradingGroup(1, (3,))],
+                         ids=["Z_4xZ_4", "Z_3^4", "Z_2^8", "ZxZ_3"])
+def test_default_sample_is_the_group_sample_plus_one_mix(group):
+    likes = [GroupAlgebraElement.group_like(g) for g in group.sample()]
+    assert default_sample(group)[:-1] == likes
+
+
+def test_hopf_checks_at_the_order_cap_run_on_the_group_sample(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return _COPRODUCT(u)
+
+    monkeypatch.setattr(GroupAlgebraElement, "coproduct", counted)
+    group = GradingGroup(0, (4,) * 4)  # order 256: 13 sample elements, not 256
+    size = len(group.sample()) + 1
+    assert check_hopf_axioms(group).passed
+    assert len(calls) <= size * size + 4 * size

@@ -133,16 +133,26 @@ def _reduced(group, coords):
     return tuple(coords[:r]) + tuple(c % n for c, n in zip(coords[r:], group.torsion))
 
 
-def _cqt_sample(group):
-    """The coquasitriangularity sample of an infinite group: the identity,
-    the generators, their inverses and their doubles."""
-    gens = group.generators()
-    return [group.identity()] + gens + [-g for g in gens] + [g + g for g in gens]
+@pytest.mark.parametrize("group, coords", [
+    (GradingGroup(1, (3,)), [(0, 0), (1, 0), (0, 1), (-1, 0), (0, 2), (2, 0)]),
+    # order 81: the doubles are the inverses, so each is kept once
+    (GradingGroup(0, (3,) * 4), [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                 (0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0),
+                                 (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]),
+], ids=["ZxZ_3", "Z_3^4"])
+def test_sample_above_order_64_is_identity_generators_inverses_doubles(group, coords):
+    assert [g.coords for g in group.sample()] == coords
+
+
+@pytest.mark.parametrize("torsion", [(4, 2), (2,) * 6, (4, 4, 4)])
+def test_sample_up_to_order_64_is_the_whole_group(torsion):
+    group = GradingGroup(0, torsion)
+    assert group.sample() == group.elements()
 
 
 @pytest.mark.parametrize("group, sample", [
     (GradingGroup(0, (4, 2)), GradingGroup(0, (4, 2)).elements()),
-    (GradingGroup(1, (3,)), _cqt_sample(GradingGroup(1, (3,)))),
+    (GradingGroup(1, (3,)), GradingGroup(1, (3,)).sample()),
 ], ids=["Z_4xZ_2", "ZxZ_3-cqt-sample"])
 def test_memoised_group_arithmetic_follows_the_coordinate_formulas(group, sample):
     twin = GradingGroup(group.free_rank, group.torsion)

@@ -5,8 +5,8 @@ function, class and method is referenced by the program (the package,
 the scripts or the benchmark), `__all__` is exactly what `__init__`
 imports, only the scalar module constructs a Scalar directly, only the
 group module numbers group elements, no product is built only to be
-accumulated and only the commutation module takes powers of
-commutation-factor values."""
+accumulated, only the commutation module takes powers of
+commutation-factor values and the law checks enumerate no group."""
 
 import ast
 from pathlib import Path
@@ -168,3 +168,13 @@ def test_only_the_commutation_module_takes_powers_of_factor_values():
               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
               and factor_value(node.left)]
     assert powers == []
+
+
+def test_the_law_checks_take_their_elements_from_the_group_sample():
+    # the Hopf and cqt checks run on GradingGroup.sample, the one rule
+    # that picks law-check elements
+    calls = [f"{name}:{node.lineno}" for name in ("group_hopf.py", "commutation.py")
+             for node in ast.walk(TREES[name])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "elements"]
+    assert calls == []
