@@ -2,12 +2,11 @@
 commutation-factor symmetry: coquasitriangularity, quantum commutativity,
 coinvariants, strong grading, and bijectivity of the canonical map."""
 
-from .algebras import (AlgebraElement, GradedAlgebra, QCReport,
-                       StrongGradingReport, build_b_symmetric_truncation,
-                       build_group_algebra, build_truncated_poly,
-                       build_twisted_group_algebra, check_quantum_commutativity,
-                       check_strong_grading, coaction, coinvariants,
-                       strong_grading_window)
+from .algebras import (GradedAlgebra, QCReport, StrongGradingReport,
+                       build_b_symmetric_truncation, build_group_algebra,
+                       build_truncated_poly, build_twisted_group_algebra,
+                       check_quantum_commutativity, check_strong_grading,
+                       coaction, coinvariants, strong_grading_window)
 from .commutation import (CommutationFactor, check_cqt_axioms, standard_factor,
                           trivial_factor)
 from .errors import (CapExceededError, DescriptorError, GroupMismatchError,
@@ -16,19 +15,19 @@ from .errors import (CapExceededError, DescriptorError, GroupMismatchError,
 from .galois import (EquivalenceReport, GaloisReport, QuotientSpace,
                      RelativeChain, beta_n, canonical_map,
                      check_equivalence_theorem, is_galois)
-from .group_hopf import (GroupAlgebraElement, TensorElement, check_hopf_axioms)
+from .group_hopf import GroupAlgebraElement, check_hopf_axioms
 from .groups import GradingGroup, GroupElement
 from .linalg import Echelon, LinearMap
 from .scalars import Scalar, format_scalar, parse_scalar, root_of_unity
 
 __all__ = [
-    "AlgebraElement", "CapExceededError", "CommutationFactor",
-    "DescriptorError", "Echelon", "EquivalenceReport", "GaloisReport",
-    "GradedAlgebra", "GradingGroup", "GroupAlgebraElement", "GroupElement",
-    "GroupMismatchError", "InfiniteGroupError", "InternalConsistencyError",
-    "LinearMap", "QCReport", "QgradedError", "QuotientSpace", "RelativeChain",
-    "Scalar", "ScalarParseError", "StrongGradingReport", "TensorElement",
-    "beta_n", "build_b_symmetric_truncation", "build_group_algebra",
+    "CapExceededError", "CommutationFactor", "DescriptorError", "Echelon",
+    "EquivalenceReport", "GaloisReport", "GradedAlgebra", "GradingGroup",
+    "GroupAlgebraElement", "GroupElement", "GroupMismatchError",
+    "InfiniteGroupError", "InternalConsistencyError", "LinearMap", "QCReport",
+    "QgradedError", "QuotientSpace", "RelativeChain", "Scalar",
+    "ScalarParseError", "StrongGradingReport", "beta_n",
+    "build_b_symmetric_truncation", "build_group_algebra",
     "build_truncated_poly", "build_twisted_group_algebra", "canonical_map",
     "check_cqt_axioms", "check_equivalence_theorem", "check_hopf_axioms",
     "check_quantum_commutativity", "check_strong_grading", "coaction",

@@ -3,11 +3,12 @@
 A GradedAlgebra is a basis of labeled, homogeneous vectors together with
 a product table.  The grading carries the canonical kG-coaction
 a -> a (x) g on a grade-g vector; coinvariants, quantum commutativity
-and strong grading are decided by exact elimination.  `multiply` is the
-one product through the structure constants: elements multiply through
-it, and the checks call it on coordinate vectors.  Builders produce
-the example families used throughout: twisted group algebras, truncated
-polynomial rings, and truncations of free b-commutative algebras.
+and strong grading are decided by exact elimination.  An element of the
+algebra is its coordinate vector, a dict from basis index to scalar, and
+`multiply` is the one product through the structure constants.
+Builders produce the example families used throughout: twisted group
+algebras, truncated polynomial rings, and truncations of free
+b-commutative algebras.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from .commutation import CommutationFactor, trivial_factor
 from .errors import GroupMismatchError, InfiniteGroupError
 from .groups import GradingGroup, GroupElement
-from .group_hopf import TensorElement
 from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
-from .reports import CheckReport, combination_text
+from .reports import CheckReport
 from .scalars import Scalar
 
 
@@ -68,13 +68,7 @@ class GradedAlgebra:
     def grades_present(self) -> list[GroupElement]:
         return [self.group.element(c) for c in sorted(self._components)]
 
-    # -- elements -----------------------------------------------------
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: Scalar.one()})
-
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
+    # -- products -----------------------------------------------------
 
     def product_coords(self, i: int, j: int) -> Vec:
         return self.products.get((i, j), {})
@@ -177,46 +171,6 @@ class GradedAlgebra:
         return f"<{tag}: dim {self.dim} over {self.group}>"
 
 
-class AlgebraElement(TensorElement):
-    """Element of a GradedAlgebra: a sparse vector keyed by basis index,
-    multiplied through the algebra's structure constants."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: GradedAlgebra, coords: Vec):
-        self.algebra = algebra
-        super().__init__(coords)
-
-    @property
-    def coords(self) -> Vec:
-        return self.terms
-
-    def _check(self, other: TensorElement):
-        if getattr(other, "algebra", None) is not self.algebra:
-            raise GroupMismatchError("elements of different algebras")
-
-    def _like(self, terms: Vec) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            return self._like(self.algebra.multiply(self.terms, other.terms))
-        return super().__mul__(other)
-
-    def __eq__(self, other):
-        # elements of different algebras differ, even when both are zero
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __str__(self):
-        return combination_text((self.coords[i], self.algebra.label(i))
-                                for i in sorted(self.coords))
-
-    __repr__ = __str__
-
-
 def word_closure(algebra: GradedAlgebra,
                  candidates) -> tuple[list[int], Echelon]:
     """Generators picked from the candidate basis indices, and the span of
@@ -244,13 +198,13 @@ def word_closure(algebra: GradedAlgebra,
 # -- coaction and coinvariants -------------------------------------------
 
 
-def coaction(x: AlgebraElement) -> TensorElement:
-    """Canonical kG-coaction: a grade-g vector maps to itself (x) g."""
-    return TensorElement({(i, x.algebra.grade(i)): c
-                          for i, c in x.coords.items()})
+def coaction(algebra: GradedAlgebra, vec: Vec) -> dict[tuple, Scalar]:
+    """Canonical kG-coaction: a grade-g vector maps to itself (x) g, keyed
+    by (basis index, grade)."""
+    return {(i, algebra.grade(i)): c for i, c in vec.items()}
 
 
-def coinvariants(algebra: GradedAlgebra) -> list[AlgebraElement]:
+def coinvariants(algebra: GradedAlgebra) -> list[Vec]:
     """Basis of {a : coaction(a) = a (x) identity}, by exact elimination.
 
     For the canonical coaction this is the identity-grade component; the
@@ -261,12 +215,11 @@ def coinvariants(algebra: GradedAlgebra) -> list[AlgebraElement]:
     # linear map a -> coaction(a) - a(x)e, expressed over keyed rows
     rows: dict[tuple, Vec] = {}
     for i in range(algebra.dim):
-        column = coaction(algebra.basis_element(i)).terms
+        column = coaction(algebra, {i: Scalar.one()})
         vec_add_at(column, (i, e), Scalar.from_rational(-1))
         for key, c in column.items():
             rows.setdefault(key, {})[i] = c
-    basis = kernel_basis(list(rows.values()), algebra.dim)
-    return [AlgebraElement(algebra, v) for v in basis]
+    return kernel_basis(list(rows.values()), algebra.dim)
 
 
 # -- quantum commutativity ------------------------------------------------
@@ -309,7 +262,7 @@ def check_quantum_commutativity(algebra: GradedAlgebra,
 class StrongGradingReport:
     strong: bool
     witness_pair: tuple[GroupElement, GroupElement] | None = None
-    missing: AlgebraElement | None = None
+    missing: int | None = None
 
 
 def _grade_pair_spans(algebra: GradedAlgebra, grades: list[GroupElement]):
@@ -334,15 +287,13 @@ def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
     """Decide A_g * A_h = A_{gh} for all pairs of grades; finite G only.
 
     On failure returns the first offending pair in enumeration order plus
-    a basis vector of A_{gh} outside the product span.
+    the index of the first basis vector of A_{gh} outside the product span.
     """
     if not algebra.group.is_finite:
         raise InfiniteGroupError("strong-grading decision requires finite G")
     for g, h, target, span in _grade_pair_spans(algebra, algebra.group.elements()):
         if span.rank < len(target):
-            missing = next(
-                algebra.basis_element(k) for k in target
-                if not span.contains({k: Scalar.one()}))
+            missing = next(k for k in target if not span.contains({k: Scalar.one()}))
             return StrongGradingReport(False, (g, h), missing)
     return StrongGradingReport(True)
 

@@ -17,16 +17,16 @@ from .algebras import (b_symmetric_dim, build_b_symmetric_truncation,
                        build_truncated_poly, build_twisted_group_algebra,
                        check_quantum_commutativity, strong_grading_window)
 from .commutation import check_cqt_axioms
-from .descriptors import (Descriptor, canonical_json, dump_descriptor,
-                          factor_from_dict, load_descriptor)
+from .descriptors import (MAX_ALGEBRA_DIM, Descriptor, canonical_json,
+                          dump_descriptor, factor_from_dict, load_descriptor)
 from .errors import CapExceededError, DescriptorError, InfiniteGroupError
 from .galois import check_equivalence_theorem
 from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
+from .reports import combination_text
+from .scalars import Scalar
 
 DEFAULT_MAX_GROUP_ORDER = 256
-# the default group cap, so a twisted group algebra at that cap stays admissible
-MAX_ALGEBRA_DIM = 256
 
 EXPECT_TOKENS = {
     "strong": ("grading.strong", True),
@@ -74,11 +74,9 @@ def _check_algebra_dim(dim: int):
 
 def _admit(path: str, max_group_order: int) -> Descriptor:
     """Load a descriptor without validating its algebra and refuse an
-    algebra or a grading group above its cap, so that no check runs on a
-    refused input."""
+    algebra (its loader applies the dimension cap) or a grading group above
+    its cap, so that no check runs on a refused input."""
     desc = load_descriptor(path, validate_algebra=False)
-    if desc.algebra is not None:
-        _check_algebra_dim(desc.algebra.dim)
     group = desc.group
     _check_group_size(group, max_group_order)
     if desc.factor is not None:  # b meets |g_i*h_j| <= 8 on GradingGroup.sample, m^2 in qc
@@ -88,13 +86,22 @@ def _admit(path: str, max_group_order: int) -> Descriptor:
     return desc
 
 
-def _write(path: str, text: str) -> bool:
-    """Write an output file, or print one error line naming the path."""
+def _write(path: str, text: str | None = None) -> bool:
+    """Write an output file or, with no text, refuse it before any work by
+    opening it for appending (which truncates nothing; a file the probe
+    creates is removed); on failure print one error line naming the path."""
+    created = text is None and not Path(path).exists()
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if text is None:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False
+    if created:
+        Path(path).unlink()
     return True
 
 
@@ -130,7 +137,8 @@ def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
             witness = None
             if strong.witness_pair:
                 g, h = strong.witness_pair
-                witness = f"pair ({g}, {h}), missing {strong.missing}"
+                missing = combination_text([(Scalar.one(), algebra.label(strong.missing))])
+                witness = f"pair ({g}, {h}), missing {missing}"
             rows.append(_row("grading.strong", strong.strong,
                              expect.get("grading.strong", True), witness))
             witness = None
@@ -168,6 +176,8 @@ def cmd_check(args) -> int:
     except (DescriptorError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, CapExceededError) else 2
+    if args.report and not _write(args.report):
+        return 2
     rows = _check_descriptor(desc, expect)
     report = {"input": Path(args.file).name,
               "passed": all(r["passed"] for r in rows),
@@ -225,6 +235,8 @@ def _build_from_args(args) -> Descriptor:
 
 
 def cmd_generate(args) -> int:
+    if args.out and not _write(args.out):
+        return 2
     try:
         desc = _build_from_args(args)
     except (ValueError, CapExceededError) as exc:
@@ -246,6 +258,8 @@ def cmd_suite(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
+        return 2
+    if args.report and not _write(args.report):
         return 2
     files = sorted(directory.glob("*.json"))
     rows = []

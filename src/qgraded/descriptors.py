@@ -27,6 +27,10 @@ from .groups import GradingGroup
 from .linalg import Vec
 from .scalars import Scalar, format_scalar, parse_scalar
 
+# the command line's default group-order cap, so that a twisted group
+# algebra at that cap stays admissible
+MAX_ALGEBRA_DIM = 256
+
 
 @dataclass
 class Descriptor:
@@ -110,6 +114,10 @@ def algebra_from_dict(group: GradingGroup, d: dict,
     basis = []
     _require(isinstance(d["basis"], list) and d["basis"],
              "algebra.basis must be a nonempty list")
+    # refused before any entry is parsed: the products can be dim^2 long
+    if len(d["basis"]) > MAX_ALGEBRA_DIM:
+        raise CapExceededError(f"algebra dimension {len(d['basis'])} "
+                               f"exceeds the cap {MAX_ALGEBRA_DIM}")
     for pos, entry in enumerate(d["basis"]):
         _require(isinstance(entry, dict) and set(entry) == {"label", "grade"},
                  f"algebra.basis[{pos}] must have exactly 'label' and 'grade'")

@@ -85,7 +85,7 @@ class RelativeChain:
         self.grade_pos = [algebra.group.index(g.coords) for _label, g in algebra.basis]
         self.sub = algebra.component(algebra.group.identity())
         coinv = coinvariants(algebra)
-        if sorted(i for v in coinv for i in v.coords) != sorted(self.sub):
+        if sorted(i for v in coinv for i in v) != sorted(self.sub):
             raise InternalConsistencyError(
                 "coinvariants disagree with the identity-grade component")
         self.generators, words = word_closure(algebra, self.sub)

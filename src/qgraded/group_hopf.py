@@ -1,12 +1,13 @@
 """The group algebra kG as a Hopf algebra.
 
-A `TensorElement` is a sparse combination of tuples of group elements,
-and kG is its rank-1 case, keyed by (g,); the product adds keys slot by
-slot, so it is the convolution in kG and the product in kG (x) kG.  The
-coproduct, counit and antipode are g -> g (x) g, g -> 1 and g -> g^{-1},
-extended linearly.  Axioms are verified by evaluation on the group-likes
-of `GradingGroup.sample`: when that is the whole group, linearity extends
-the verdict to all of kG; above order 64 and on Z^N it is sample evidence.
+A `GroupAlgebraElement` is a sparse combination of r-tuples of group
+elements, an element of kG^(x)r, and kG is its rank-1 case, keyed by
+(g,); the product adds keys slot by slot, so it is the convolution in kG
+and the product in kG (x) kG.  The coproduct, counit and antipode are
+g -> g (x) g, g -> 1 and g -> g^{-1}, extended linearly.  Axioms are
+verified by evaluation on the group-likes of `GradingGroup.sample`: when
+that is the whole group, linearity extends the verdict to all of kG;
+above order 64 and on Z^N it is sample evidence.
 """
 
 from __future__ import annotations
@@ -21,78 +22,16 @@ from .reports import CheckReport, combination_text
 from .scalars import Scalar
 
 
-class TensorElement:
-    """Finitely supported tensor with exact coefficients.  Construction,
-    `+`, `-`, `scale`, scalar `*`, `is_zero` and `==` work for any hashable
-    key; `*` of two tensors adds tuple keys slot by slot, and a subclass
-    keyed otherwise overrides it with its own product."""
+class GroupAlgebraElement:
+    """Finitely supported element of kG^(x)r over one grading group, with
+    exact coefficients keyed by r-tuples of group elements."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple, Scalar] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
-
-    def _check(self, other: "TensorElement"):
-        """Raise unless `other` can be combined with self; any tensor can."""
-
-    def _like(self, terms: dict[tuple, Scalar]) -> "TensorElement":
-        """An element of the same space as self with the given terms."""
-        return TensorElement(terms)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            vec_add_at(out, k, v)
-        return self._like(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(Scalar.from_rational(-1))
-
-    def scale(self, c) -> "TensorElement":
-        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
-        return self._like({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        # keys add slot by slot: the group law extended to each tensor factor
-        if isinstance(other, TensorElement):
-            self._check(other)
-            out: dict[tuple, Scalar] = {}
-            for k1, a in self.terms.items():
-                for k2, b in other.terms.items():
-                    vec_add_at(out, tuple(map(add, k1, k2)), a, b)
-            return self._like(out)
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    # scalars and the (abelian) group law commute
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return combination_text(
-            (v, "(x)".join(map(str, k)))
-            for k, v in sorted(self.terms.items(), key=lambda kv: str(kv[0])))
-
-
-class GroupAlgebraElement(TensorElement):
-    """Finitely supported k-linear combination of group elements: a rank-1
-    tensor keyed by 1-tuples (g,) over one grading group."""
-
-    __slots__ = ("group",)
+    __slots__ = ("group", "terms")
 
     def __init__(self, group: GradingGroup,
-                 terms: dict[tuple[GroupElement], Scalar] | None = None):
+                 terms: dict[tuple[GroupElement, ...], Scalar] | None = None):
         self.group = group
-        super().__init__(terms)
+        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
 
     @classmethod
     def group_like(cls, g: GroupElement) -> "GroupAlgebraElement":
@@ -100,40 +39,55 @@ class GroupAlgebraElement(TensorElement):
 
     @classmethod
     def unit(cls, group: GradingGroup) -> "GroupAlgebraElement":
-        return cls(group, {(group.identity(),): Scalar.one()})
+        return cls.group_like(group.identity())
 
-    def _check(self, other: TensorElement):
-        if getattr(other, "group", None) != self.group:
+    def _terms_of(self, other: "GroupAlgebraElement") -> dict:
+        if other.group != self.group:
             raise GroupMismatchError("group algebra elements over different groups")
+        return other.terms
 
-    def _like(self, terms: dict[tuple, Scalar]) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.group, terms)
+    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        out = dict(self.terms)
+        for k, v in self._terms_of(other).items():
+            vec_add_at(out, k, v)
+        return GroupAlgebraElement(self.group, out)
 
-    def coproduct(self) -> TensorElement:
+    def scale(self, c) -> "GroupAlgebraElement":
+        c = c if isinstance(c, Scalar) else Scalar.from_rational(c)
+        return GroupAlgebraElement(self.group, {k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        # keys add slot by slot: the group law extended to each tensor factor
+        out: dict[tuple, Scalar] = {}
+        theirs = self._terms_of(other)
+        for k1, a in self.terms.items():
+            for k2, b in theirs.items():
+                vec_add_at(out, tuple(map(add, k1, k2)), a, b)
+        return GroupAlgebraElement(self.group, out)
+
+    def coproduct(self) -> "GroupAlgebraElement":
         """Linear extension of g -> g (x) g."""
-        return TensorElement({(g, g): c for (g,), c in self.terms.items()})
+        return GroupAlgebraElement(self.group, {(g, g): c for (g,), c in self.terms.items()})
 
     def counit(self) -> Scalar:
         """Linear extension of g -> 1."""
-        total = Scalar.zero()
-        for c in self.terms.values():
-            total = total + c
-        return total
+        return sum(self.terms.values(), Scalar.zero())
 
     def antipode(self) -> "GroupAlgebraElement":
         """Linear extension of g -> g^{-1}."""
-        return self._like({(-g,): c for (g,), c in self.terms.items()})
+        return GroupAlgebraElement(self.group, {(-g,): c for (g,), c in self.terms.items()})
 
     def __eq__(self, other):
         # elements over different groups differ, even when both are zero
-        if isinstance(other, GroupAlgebraElement) and self.group != other.group:
-            return False
-        return super().__eq__(other)
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
+        return self.group == other.group and self.terms == other.terms
 
     def __str__(self):
         return combination_text(
-            (c, f"[{g}]")
-            for (g,), c in sorted(self.terms.items(), key=lambda kv: kv[0][0].coords))
+            (c, "(x)".join(f"[{g}]" for g in key))
+            for key, c in sorted(self.terms.items(),
+                                 key=lambda kv: [g.coords for g in kv[0]]))
 
     __repr__ = __str__
 
@@ -141,9 +95,9 @@ class GroupAlgebraElement(TensorElement):
 # -- sample-based axiom verification -------------------------------------
 
 
-def _apply_slot(t: TensorElement, slot: int,
-                fn: Callable[[GroupAlgebraElement], TensorElement | Scalar]
-                ) -> TensorElement:
+def _apply_slot(t: GroupAlgebraElement, slot: int,
+                fn: Callable[[GroupAlgebraElement], GroupAlgebraElement | Scalar]
+                ) -> GroupAlgebraElement:
     """Apply a linear map of kG, given on elements, to one slot of each key;
     a Scalar value fn(group-like g) is the rank-0 tensor {(): value}."""
     out: dict[tuple, Scalar] = {}
@@ -152,15 +106,15 @@ def _apply_slot(t: TensorElement, slot: int,
         pieces = {(): image} if isinstance(image, Scalar) else image.terms
         for piece, d in pieces.items():
             vec_add_at(out, key[:slot] + piece + key[slot + 1:], c, d)
-    return TensorElement(out)
+    return GroupAlgebraElement(t.group, out)
 
 
-def _multiply_slots(t: TensorElement, group: GradingGroup) -> GroupAlgebraElement:
+def _multiply_slots(t: GroupAlgebraElement) -> GroupAlgebraElement:
     """Collapse a 2-tensor over kG (x) kG by the group law."""
     out: dict[tuple, Scalar] = {}
     for (g, h), c in t.terms.items():
         vec_add_at(out, (g + h,), c)
-    return GroupAlgebraElement(group, out)
+    return GroupAlgebraElement(t.group, out)
 
 
 def default_sample(group: GradingGroup) -> list[GroupAlgebraElement]:
@@ -197,7 +151,7 @@ def check_hopf_axioms(group: GradingGroup) -> CheckReport:
     for slot, side in enumerate(("left", "right")):
         report.check(f"hopf.antipode-{side}",
                      (str(u) for u, d, e in zip(sample, deltas, epsilons)
-                      if _multiply_slots(_apply_slot(d, slot, S), group)
+                      if _multiply_slots(_apply_slot(d, slot, S))
                       != unit.scale(e)))
     report.check("hopf.coproduct-multiplicative",
                  (f"{u}, {v}" for i, u in enumerate(sample)
@@ -207,7 +161,7 @@ def check_hopf_axioms(group: GradingGroup) -> CheckReport:
                  (f"{u}, {v}" for i, u in enumerate(sample)
                   for j, v in enumerate(sample)
                   if products[i][j].counit() != epsilons[i] * epsilons[j]))
-    unit_tensor = TensorElement({(group.identity(), group.identity()): one})
+    unit_tensor = GroupAlgebraElement(group, {(group.identity(), group.identity()): one})
     report.check("hopf.unit-counit",
                  ("1" for lhs, rhs in [(unit.counit(), one),
                                        (unit.coproduct(), unit_tensor)]

@@ -534,6 +534,20 @@ def test_algebra_dimension_cap_is_applied_before_any_check(
         assert row["error"] == text
 
 
+def test_the_dimension_cap_is_applied_before_any_product_is_parsed(tmp_path, capsys):
+    # a malformed coefficient in products[0] of a dim-257 descriptor: the
+    # cap, not the coefficient, refuses it
+    path = tmp_path / "dim-257.json"
+    path.write_text(json.dumps({"group": {}, "algebra": {
+        "basis": [{"label": f"e{i}", "grade": []} for i in range(257)],
+        "unit": {"0": "1"},
+        "products": [{"left": 0, "right": 0,
+                      "result": [{"basis": 0, "coeff": "not a scalar"}]}]}}),
+        encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == "error: algebra dimension 257 exceeds the cap 256\n"
+
+
 @pytest.mark.parametrize("text, reason", [
     ('{"group": {"torsion": [%s]}}' % ("7" * 5000), "integer string conversion"),
     ('{"group": ' + "[" * 1000 + "]" * 1000 + "}", "recursion depth"),
@@ -700,6 +714,43 @@ def test_an_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(target) in line
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command, work", [
+    ("check", "check_hopf_axioms"),
+    ("suite", "check_equivalence_theorem"),
+    ("generate", "build_truncated_poly"),
+])
+def test_an_unwritable_output_path_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, command, work):
+    def refused(*args, **kwargs):
+        raise AssertionError("work ran before the output path was refused")
+
+    monkeypatch.setattr(f"qgraded.cli.{work}", refused)
+    target = tmp_path / "missing" / "out.json"
+    path = CORPUS / "twisted-z2-trivial.json"
+    argv = {"check": ["check", str(path), "--report", str(target)],
+            "suite": ["suite", str(CORPUS), "--report", str(target)],
+            "generate": ["generate", "truncated-poly", "--m", "3", "--out", str(target)],
+            }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_the_output_probe_truncates_nothing_and_leaves_no_file(tmp_path, monkeypatch):
+    def crash(group):
+        raise RuntimeError("crash during the checks")
+
+    monkeypatch.setattr("qgraded.cli.check_hopf_axioms", crash)
+    path = str(CORPUS / "twisted-z2-trivial.json")
+    fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+    old.write_text("old report", encoding="utf-8")
+    for report in (fresh, old):
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["check", path, "--report", str(report)])
+    assert not fresh.exists()
+    assert old.read_text(encoding="utf-8") == "old report"
 
 
 def test_check_reports_a_failing_quantum_commutativity_row(tmp_path):

@@ -3,8 +3,8 @@ import operator
 import pytest
 
 from qgraded.errors import GroupMismatchError
-from qgraded.group_hopf import (GroupAlgebraElement, TensorElement,
-                                check_hopf_axioms, default_sample)
+from qgraded.group_hopf import (GroupAlgebraElement, check_hopf_axioms,
+                                default_sample)
 from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar
 
@@ -17,7 +17,7 @@ def test_coproduct_of_group_like():
     G = GradingGroup(2)
     g = G.element((1, 0))
     u = GroupAlgebraElement.group_like(g)
-    assert u.coproduct() == TensorElement({(g, g): Scalar.one()})
+    assert u.coproduct() == GroupAlgebraElement(G, {(g, g): Scalar.one()})
 
 
 def test_counit_is_linear_sum_of_coefficients():
@@ -40,7 +40,7 @@ def test_convolution_product():
 
 def test_mismatched_groups_error():
     u, v = like(GradingGroup(0, (2,)), (1,)), like(GradingGroup(0, (3,)), (1,))
-    for op in (operator.add, operator.sub, operator.mul):
+    for op in (operator.add, operator.mul):
         with pytest.raises(GroupMismatchError):
             op(u, v)
 
@@ -48,7 +48,7 @@ def test_mismatched_groups_error():
 def test_zero_elements_over_different_groups_differ():
     zero2 = GroupAlgebraElement(GradingGroup(0, (2,)))
     zero3 = GroupAlgebraElement(GradingGroup(0, (3,)))
-    assert zero2.is_zero() and zero3.is_zero()
+    assert zero2.terms == zero3.terms == {}
     assert zero2 != zero3
     assert zero2 == GroupAlgebraElement(GradingGroup(0, (2,)))
 
@@ -66,7 +66,7 @@ def test_hopf_axioms_pass_on_group_likes(torsion):
 def test_hopf_axioms_pass_on_random_combination(monkeypatch):
     G = GradingGroup(0, (3,))
     sample = [like(G, (i,)) for i in range(3)]
-    sample.append(like(G, (0,)) + like(G, (1,)).scale(2) - like(G, (2,)).scale(5))
+    sample.append(like(G, (0,)) + like(G, (1,)).scale(2) + like(G, (2,)).scale(-5))
     monkeypatch.setattr("qgraded.group_hopf.default_sample", lambda group: sample)
     report = check_hopf_axioms(G)
     assert report.passed, report.failures()
@@ -109,12 +109,12 @@ def test_coproduct_is_multiplicative_on_group_likes():
                     GroupAlgebraElement.group_like(h))
             lhs = (u * v).coproduct()
             gh = g + h
-            assert lhs == TensorElement({(gh, gh): Scalar.one()})
+            assert lhs == GroupAlgebraElement(G, {(gh, gh): Scalar.one()})
 
 
 def test_coproduct_is_multiplicative_on_mixed_elements():
     G = GradingGroup(0, (4,))
-    sample = [like(G, (1,)).scale(3) - like(G, (2,)),
+    sample = [like(G, (1,)).scale(3) + like(G, (2,)).scale(-1),
               like(G, (0,)) + like(G, (3,)).scale(2) + like(G, (1,))]
     for u in sample:
         for v in sample:
@@ -132,7 +132,7 @@ def test_antipode_is_an_antihomomorphism():
 
 def test_counit_composed_with_antipode():
     G = GradingGroup(0, (6,))
-    u = like(G, (1,)).scale(3) - like(G, (4,))
+    u = like(G, (1,)).scale(3) + like(G, (4,)).scale(-1)
     assert u.antipode().counit() == u.counit()
 
 
@@ -147,27 +147,27 @@ def test_unit_is_two_sided():
 def test_tensor_element_arithmetic_drops_zeros():
     G = GradingGroup(0, (2,))
     g, h = G.element((0,)), G.element((1,))
-    t = TensorElement({(g, h): Scalar.from_rational(2)})
-    s = TensorElement({(g, h): Scalar.from_rational(-2),
-                       (h, h): Scalar.one()})
+    t = GroupAlgebraElement(G, {(g, h): Scalar.from_rational(2)})
+    s = GroupAlgebraElement(G, {(g, h): Scalar.from_rational(-2),
+                                (h, h): Scalar.one()})
     total = t + s
-    assert total == TensorElement({(h, h): Scalar.one()})
-    assert (total - total).is_zero()
-    assert total.scale(Scalar.zero()).is_zero()
+    assert total == GroupAlgebraElement(G, {(h, h): Scalar.one()})
+    assert (total + total.scale(-1)).terms == {}
+    assert total.scale(Scalar.zero()).terms == {}
 
 
 def test_tensor_element_equality_ignores_construction_order():
     G = GradingGroup(0, (2,))
     g, h = G.element((0,)), G.element((1,))
-    a = TensorElement({(g, g): Scalar.one(), (h, h): Scalar.from_rational(2)})
-    b = TensorElement({(h, h): Scalar.from_rational(2), (g, g): Scalar.one()})
+    a = GroupAlgebraElement(G, {(g, g): Scalar.one(), (h, h): Scalar.from_rational(2)})
+    b = GroupAlgebraElement(G, {(h, h): Scalar.from_rational(2), (g, g): Scalar.one()})
     assert a == b
 
 
 def _coproduct_onto_the_identity(u):
     """g -> g (x) e: coassociative and multiplicative, but not counital."""
     e = u.group.identity()
-    return TensorElement({(g, e): c for (g,), c in u.terms.items()})
+    return GroupAlgebraElement(u.group, {(g, e): c for (g,), c in u.terms.items()})
 
 
 _COUNIT = GroupAlgebraElement.counit

@@ -6,7 +6,8 @@ the scripts or the benchmark), `__all__` is exactly what `__init__`
 imports, only the scalar module constructs a Scalar directly, only the
 group module numbers group elements, no product is built only to be
 accumulated, only the commutation module takes powers of
-commutation-factor values and the law checks enumerate no group."""
+commutation-factor values, the law checks enumerate no group and the
+algebra side does not import the Hopf module."""
 
 import ast
 from pathlib import Path
@@ -178,3 +179,16 @@ def test_the_law_checks_take_their_elements_from_the_group_sample():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "elements"]
     assert calls == []
+
+
+def test_the_algebra_side_does_not_import_the_hopf_module():
+    # algebra elements are coordinate vectors; kG and its tensor powers
+    # live in group_hopf.py, which the algebra and Galois code never need
+    imports = [f"{name}:{node.lineno}" for name in ("algebras.py", "galois.py")
+               for node in ast.walk(TREES[name])
+               if isinstance(node, ast.ImportFrom) and (
+                   (node.module or "").split(".")[-1] == "group_hopf"
+                   or any(alias.name == "group_hopf" for alias in node.names))
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[-1] == "group_hopf" for alias in node.names)]
+    assert imports == []
