@@ -146,7 +146,8 @@ def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
                 if galois.kernel_witness is not None:
                     witness = "kernel: " + galois.describe_kernel(algebra)
                 else:
-                    witness = f"cokernel at {galois.cokernel_witness}"
+                    i, g = galois.cokernel_witness
+                    witness = f"cokernel at [{algebra.label(i)} (x) {g}]"
             rows.append(_row("galois.bijective", galois.galois,
                              expect.get("galois.bijective", True), witness,
                              note=f"rank {galois.rank} of "

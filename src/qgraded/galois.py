@@ -7,7 +7,11 @@ by the balanced relations, written only for a set of unital-algebra
 generators of the subalgebra (they span the same relation space: a
 relation for x1 and one for x2 give the one for x1*x2), iterated powers
 are built as quotients of quotients, and bijectivity of the canonical
-map and of its iterates is decided by exact rank.
+map and of its iterates is decided by exact rank.  beta^n has the closed
+form a_0 (x) ... (x) a_n -> a_0...a_n (x) |a_1...a_n| (x) ... (x) |a_n|;
+it is assembled level by level from the previous level's images of
+ambient (unprojected) positions, which is exact because each verified
+step kills every balanced relation.
 """
 
 from __future__ import annotations
@@ -210,14 +214,18 @@ def beta_n(algebra: GradedAlgebra, n: int,
     Domain: the (n+1)-fold relative tensor power T_n; column q is its
     quotient basis class q.  Codomain: algebra (x) n copies of the group
     algebra, i (x) g_1 (x) ... (x) g_n at position
-    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n), idx = `GradingGroup.index`.
+    i*|G|^n + idx(g_1)*|G|^(n-1) + ... + idx(g_n), idx = `GradingGroup.index`;
+    a_0 (x) ... (x) a_n maps to a_0...a_n (x) |a_1...a_n| (x) ... (x) |a_n|.
 
-    beta^1, ..., beta^n are built level by level from the identity beta^0:
-    the T_k class at ambient position cprev*dim + m maps to
-    right_action(k-1, cprev, m) pushed through the beta^(k-1) columns, each
-    position p moved to p*|G| + idx(grade(m)), so the right action runs
-    once per class and only the previous level is held.  Each step was
-    checked to send every balanced relation to zero when its T_k was built.
+    beta^1, ..., beta^n are built level by level from the identity beta^0.
+    images[a] is beta^k of the T_k ambient position a = c*dim + m: beta^(k-1)
+    of c*m, each position p moved to p*|G| + idx(grade(m)), with c*m
+    expanded over T_(k-1)'s ambient positions cc*dim + y, y in
+    product_coords(mm, m), (cc, mm) = divmod(basis_ambient[c], dim), and
+    never projected onto its classes.  That is exact: the step out of
+    T_(k-1) was checked to send each of its balanced relations to zero when
+    it was built, so an ambient vector and its projection have one image.
+    Levels below n keep every ambient position, level n its classes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -227,18 +235,22 @@ def beta_n(algebra: GradedAlgebra, n: int,
     chain = chain or RelativeChain(algebra)
     dim, nG = algebra.dim, algebra.group.order
 
-    columns: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
+    images: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
+    prev = range(dim)  # ambient position of each class of T_(k-1)
     for k in range(1, n + 1):
-        prev_columns, columns = columns, []
-        for amb in chain.space(k).basis_ambient:
-            cprev, m = divmod(amb, dim)
+        space = chain.space(k)
+        prev_images, images = images, []
+        for amb in space.basis_ambient if k == n else range(space.ambient_dim):
+            c, m = divmod(amb, dim)
+            cc, mm = divmod(prev[c], dim)
             g = chain.grade_pos[m]
             col: Vec = {}
-            for t, c in chain.right_action(k - 1, cprev, m).items():
-                for p, x in prev_columns[t].items():
-                    vec_add_at(col, p * nG + g, c, x)
-            columns.append(col)
-    return LinearMap(dim * nG ** n, columns)
+            for y, cy in algebra.product_coords(mm, m).items():
+                for p, x in prev_images[cc * dim + y].items():
+                    vec_add_at(col, p * nG + g, cy, x)
+            images.append(col)
+        prev = space.basis_ambient
+    return LinearMap(dim * nG ** n, images)
 
 
 @dataclass

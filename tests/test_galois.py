@@ -544,8 +544,7 @@ def test_cokernel_witness_of_a_grading_with_an_empty_component(tmp_path):
                  "--report", str(out)]) == 0
     [row] = [r for r in json.loads(out.read_text())["checks"]
              if r["id"] == "galois.bijective"]
-    assert row["witness"] == ("cokernel at (0, GroupElement(group=GradingGroup("
-                              "free_rank=0, torsion=(2,)), coords=(1,)))")
+    assert row["witness"] == "cokernel at [1 (x) (1)]"
 
 
 def test_galois_dimension_law(corpus):
@@ -631,25 +630,73 @@ def test_beta_n_matches_direct_formula(make, n):
     assert bmap.columns == _beta_n_oracle(A, chain, n)
 
 
+def _twisted_z2x2():
+    G = GradingGroup(0, (2, 2))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], root_of_unity(2))
+    return build_twisted_group_algebra(G, b)
+
+
+def _kz6_over_z2_in_a_dense_basis():
+    # every new basis vector has every coordinate of its component, one of
+    # them non-monomial, so the relation pivot rows of T_1..T_3 are dense
+    one, two, s = Scalar.one(), Scalar.from_rational(2), Scalar.cyclotomic(3, [2, 1])
+    return _in_basis(_quotient_graded_group_algebra(6, 2), [
+        {0: one, 2: two, 4: one}, {1: one, 3: one, 5: s},
+        {0: one, 2: one, 4: two}, {1: two, 3: one, 5: one},
+        {0: s, 2: one, 4: one}, {1: one, 3: two, 5: one}])
+
+
+_SUFFIX_GRADE_CASES = {
+    "twisted-Z2xZ2": _twisted_z2x2,
+    "kZ6/Z3": lambda: _quotient_graded_group_algebra(6, 3),
+    "kZ6/Z2-dense": _kz6_over_z2_in_a_dense_basis,
+    "x^4/Z2": _truncated_poly_over_z2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUFFIX_GRADE_CASES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_beta_n_is_the_product_along_the_tuple_with_suffix_grades(name, n):
+    # the class of a_(i_0) (x) ... (x) a_(i_n) maps to the product
+    # e_(i_0)...e_(i_n) at i*|G|^n + sum_r idx(g_(i_r) + ... + g_(i_n))*|G|^(n-r)
+    A = _SUFFIX_GRADE_CASES[name]()
+    G, nG = A.group, A.group.order
+    chain = RelativeChain(A)
+    columns = beta_n(A, n, chain=chain).columns
+    assert len(columns) == chain.space(n).dim
+    if name == "kZ6/Z2-dense":
+        assert all(chain.space(k).dim < chain.space(k).ambient_dim
+                   for k in range(1, n + 1))
+    for q, col in enumerate(columns):
+        path = [q]
+        for k in range(n, 0, -1):  # a class of T_k is (class of T_(k-1), slot k)
+            path[:1] = divmod(chain.space(k).basis_ambient[path[0]], A.dim)
+        product = {path[0]: Scalar.one()}
+        for i in path[1:]:
+            product = A.multiply(product, {i: Scalar.one()})
+        offset, suffix = 0, G.identity()
+        for r in range(n, 0, -1):
+            suffix = A.grade(path[r]) + suffix
+            offset += G.index(suffix.coords) * nG ** (n - r)
+        assert col == {i * nG ** n + offset: c for i, c in product.items()}
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_group_algebra(GradingGroup(0, (2, 2))),
     lambda: _quotient_graded_group_algebra(6, 3)])
-def test_beta_n_right_action_runs_once_per_class(make, monkeypatch):
-    # a first call builds T_1..T_3 and verifies every step; the second
-    # only assembles, one right action per class of T_1, T_2 and T_3
+def test_beta_n_assembles_without_right_action_or_projection(make, monkeypatch):
+    # a first call builds T_1..T_3 and verifies every step (through the
+    # right action); the second only assembles, from ambient images
     A = make()
     chain = RelativeChain(A)
-    beta_n(A, 3, chain=chain)
-    calls = []
-    right_action = RelativeChain.right_action
+    expected = beta_n(A, 3, chain=chain).columns
 
-    def counting(self, k, class_idx, j):
-        calls.append((k, class_idx, j))
-        return right_action(self, k, class_idx, j)
+    def forbidden(*args):
+        raise AssertionError("beta_n called right_action or project")
 
-    monkeypatch.setattr(RelativeChain, "right_action", counting)
-    beta_n(A, 3, chain=chain)
-    assert len(calls) == sum(chain.space(k).dim for k in (1, 2, 3))
+    monkeypatch.setattr(RelativeChain, "right_action", forbidden)
+    monkeypatch.setattr(QuotientSpace, "project", forbidden)
+    assert beta_n(A, 3, chain=chain).columns == expected
 
 
 def test_each_step_is_verified_once_per_chain(monkeypatch):
