@@ -74,6 +74,10 @@ class GradingGroup:
         return list(dict.fromkeys(
             [self.identity()] + gens + [-g for g in gens] + [g + g for g in gens]))
 
+    def is_whole(self, elements) -> bool:
+        """Whether these elements of the group are all of it (finite only)."""
+        return self.is_finite and len(set(elements)) == self.order
+
     def index(self, coords) -> int:
         """Position in `elements()` of the reduced element with these coordinates."""
         if not self.is_finite:

@@ -3,7 +3,10 @@
 Every named check follows one rule, kept in `CheckReport.check`: it
 passes unless its search yields a failing case, and the first failing
 case, already formatted as a string, is its witness.  The checkers pass
-lazy searches, so a failing check stops at its first witness.
+lazy searches, so a failing check stops at its first witness.  A proof,
+the search over a set of cases that implies the law on all of them, lets
+a check pass without its full search; a failed proof runs the full search
+for the witness, so a verdict and its witness never depend on the proof.
 """
 
 from __future__ import annotations
@@ -38,10 +41,12 @@ class CheckReport:
         return all(r.passed for r in self.results)
 
     def check(self, check_id: str, failing_cases: Iterable[str],
-              note: str | None = None) -> None:
+              note: str | None = None, proof: Iterable[str] | None = None) -> None:
         """Append a result that passes unless `failing_cases` yields a
-        witness; only the first one is drawn."""
-        witness = next(iter(failing_cases), None)
+        witness; only the first one is drawn, and only when `proof`, the
+        failing cases of a proof set, is None or yields one."""
+        proved = proof is not None and next(iter(proof), None) is None
+        witness = None if proved else next(iter(failing_cases), None)
         self.results.append(CheckResult(check_id, witness is None,
                                         witness=witness, note=note))
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,94 @@ def test_equal_values_stored_at_different_orders_give_no_witness(monkeypatch, em
     monkeypatch.setattr(b, "evaluate", mixed)
     report = check_cqt_axioms(b)
     assert report.passed, report.failures()
+
+
+def _first_failures(evaluate, els):
+    """The first failing triple of each bimultiplicative law over all of
+    els^3 in (h, k, l) order, by brute force."""
+    def first(law):
+        return next((f"({h}, {k}, {l})" for h, k, l in itertools.product(els, repeat=3)
+                     if law(h, k, l)), None)
+    return (first(lambda h, k, l: evaluate(h, k + l) != evaluate(h, k) * evaluate(h, l)),
+            first(lambda h, k, l: evaluate(h + k, l) != evaluate(h, l) * evaluate(k, l)))
+
+
+def _z4x4_factor():
+    return standard_factor(GradingGroup(0, (4, 4)), [[0, 0], [0, 0]],
+                           [[0, 1], [-1, 0]], root_of_unity(4))
+
+
+def _zxz3_factor():
+    return standard_factor(GradingGroup(1, (3,)), [[1, 0], [0, 0]],
+                           [[0, 1], [-1, 0]], root_of_unity(3))
+
+
+@pytest.mark.parametrize("m", [2, -1])
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("make", [_z4x4_factor, _zxz3_factor], ids=["Z_4xZ_4", "ZxZ_3"])
+def test_a_pairing_wrong_off_the_proof_set_gets_the_full_loops_first_witness(
+        make, side, m, monkeypatch):
+    # b is wrong only where its right (or left) argument is m times a
+    # generator and the other one is not 0: never at l (right law) or k
+    # (left law) in the proof set {0} and the generators; Z x Z_3 has a
+    # partial sample, so its full loop runs without a proof
+    b = make()
+    evaluate = b.evaluate
+    off = {g * m for g in b.group.generators()}
+
+    def broken(x, y):
+        value = evaluate(x, y)
+        slot, other = (y, x) if side == "right" else (x, y)
+        return value * 7 if slot in off and not other.is_identity() else value
+
+    monkeypatch.setattr(b, "evaluate", broken)
+    report = check_cqt_axioms(b)
+    els = b.group.sample()
+    right, left = _first_failures(broken, els)
+    assert report.result("cqt.bimultiplicative-right").witness == right
+    assert report.result("cqt.bimultiplicative-left").witness == left
+    if m == -1 and b.group.is_finite:
+        # the full loop's first failure lies off the proof set
+        ends = {str(g) for g in [b.group.identity()] + b.group.generators()}
+        witness = right if side == "right" else left
+        assert witness[1:-1].split(", ")[2 if side == "right" else 1] not in ends
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_partial_sample_runs_the_full_loop(side, monkeypatch):
+    # b is wrong only where one argument is (4,0), outside the sample of
+    # Z x Z_3 and reached only as (2,0) + (2,0), which no triple with l
+    # (or k) in {0} and the generators sums to
+    b = _zxz3_factor()
+    evaluate = b.evaluate
+    far = b.group.element((4, 0))
+
+    def broken(x, y):
+        value = evaluate(x, y)
+        slot, other = (y, x) if side == "right" else (x, y)
+        return value * 7 if slot == far and not other.is_identity() else value
+
+    monkeypatch.setattr(b, "evaluate", broken)
+    right, left = _first_failures(broken, b.group.sample())
+    witness = right if side == "right" else left
+    assert witness is not None
+    assert check_cqt_axioms(b).result(f"cqt.bimultiplicative-{side}").witness == witness
+
+
+def test_bimultiplicative_laws_are_proved_on_generator_ended_triples(monkeypatch):
+    import qgraded.commutation as commutation
+    triples = []
+
+    def product(*iterables, **kw):
+        for t in itertools.product(*iterables, **kw):
+            if len(t) == 3:
+                triples.append(t)
+            yield t
+
+    monkeypatch.setattr(commutation, "itertools", SimpleNamespace(product=product))
+    assert check_cqt_axioms(_z4x4_factor()).passed
+    # 16^2 * 3 per law, {0} and the two generators in the induction slot
+    assert len(triples) == 2 * 16 ** 2 * 3
 
 
 def _counting(monkeypatch, b):

@@ -1,3 +1,4 @@
+import itertools
 import operator
 
 import pytest
@@ -204,6 +205,56 @@ def test_patched_element_maps_fail_the_laws_they_enter(monkeypatch, group, attr,
     assert [(r.check_id, r.witness) for r in report.failures()] == failures
 
 
+def _is_like(coords):
+    return lambda u: u == like(u.group, coords)
+
+
+@pytest.mark.parametrize("attr, wrong", [("coproduct", lambda d: d.scale(2)),
+                                         ("counit", lambda e: e * 2)],
+                         ids=["coproduct", "counit"])
+@pytest.mark.parametrize("group, bad, witness_off_the_proof_set", [
+    (GradingGroup(0, (4, 4)), _is_like((2, 2)), True),
+    (GradingGroup(0, (4, 4)), lambda u: len(u.terms) > 1, False),
+    (GradingGroup(1, (3,)), _is_like((2, 0)), False),
+    (GradingGroup(1, (3,)), _is_like((4, 0)), False),
+], ids=["Z_4xZ_4-at-(2,2)", "Z_4xZ_4-off-the-group-likes", "ZxZ_3-at-(2,0)",
+        "ZxZ_3-at-(4,0)"])
+def test_a_map_wrong_off_the_proof_set_gets_the_full_loops_first_witness(
+        monkeypatch, group, bad, witness_off_the_proof_set, attr, wrong):
+    # the map is wrong only on elements that are neither the unit nor a
+    # generator: one group-like, or the mix and its products (checked in
+    # the proof set); Z x Z_3 has a partial sample, so its full loop runs,
+    # and (4,0) is outside it, reached only as (2,0) + (2,0)
+    original = getattr(GroupAlgebraElement, attr)
+
+    def fake(u):
+        return wrong(original(u)) if bad(u) else original(u)
+
+    monkeypatch.setattr(GroupAlgebraElement, attr, fake)
+    sample = default_sample(group)
+    first = next(f"{u}, {v}" for u, v in itertools.product(sample, repeat=2)
+                 if fake(u * v) != fake(u) * fake(v))
+    report = check_hopf_axioms(group)
+    assert report.result(f"hopf.{attr}-multiplicative").witness == first
+    if witness_off_the_proof_set:
+        ends = [group.identity()] + group.generators()
+        assert first.split(", ")[1] not in {str(GroupAlgebraElement.group_like(g)) for g in ends}
+
+
+def test_a_sample_without_every_group_like_runs_the_full_loop(monkeypatch):
+    # whether the group-likes are the whole group is read from the sample
+    # checked: with only (0) and (2) of Z_4, a counit wrong on (2) fails
+    # only at ((2), (2)), a pair no proof on the unit and generator holds
+    G = GradingGroup(0, (4,))
+    two = like(G, (2,))
+    monkeypatch.setattr("qgraded.group_hopf.default_sample",
+                        lambda group: [like(G, (0,)), two])
+    monkeypatch.setattr(GroupAlgebraElement, "counit",
+                        lambda u: _COUNIT(u) * 2 if u == two else _COUNIT(u))
+    report = check_hopf_axioms(G)
+    assert report.result("hopf.counit-multiplicative").witness == "1*[(2)], 1*[(2)]"
+
+
 def test_hopf_checks_evaluate_each_map_once_per_sample_element(monkeypatch):
     calls = {"coproduct": 0, "counit": 0}
 
@@ -220,9 +271,11 @@ def test_hopf_checks_evaluate_each_map_once_per_sample_element(monkeypatch):
     size = len(default_sample(group))
     assert size == 17
     assert check_hopf_axioms(group).passed
-    # one per product, one per sample element, one per key in the laws
-    # that apply a map to one slot of a coproduct, one on the unit
-    assert max(calls.values()) <= size * size + 4 * size, calls
+    # one per product in the proof set (16 * 3 group-like pairs (g, s) with
+    # s the unit or a generator, and 33 pairs with the mix), one per sample
+    # element, one per key in the laws that apply a map to one slot of a
+    # coproduct, one on the unit
+    assert max(calls.values()) <= 81 + 4 * size, calls
 
 
 @pytest.mark.parametrize("group", [GradingGroup(0, (4, 4)), GradingGroup(0, (3,) * 4),

@@ -6,10 +6,12 @@ the scripts or the benchmark), `__all__` is exactly what `__init__`
 imports, only the scalar module constructs a Scalar directly, only the
 group module numbers group elements, no product is built only to be
 accumulated, only the commutation module takes powers of
-commutation-factor values, the law checks enumerate no group and the
-algebra side does not import the Hopf module."""
+commutation-factor values, the law checks enumerate no group, the
+order up to which they run on the whole group is written only in the
+group module and the algebra side does not import the Hopf module."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,3 +194,13 @@ def test_the_algebra_side_does_not_import_the_hopf_module():
                or isinstance(node, ast.Import)
                and any(alias.name.split(".")[-1] == "group_hopf" for alias in node.names)]
     assert imports == []
+
+
+def test_the_whole_sample_bound_is_written_only_in_the_group_module():
+    # GradingGroup.sample holds the one order (64) up to which the law
+    # checks run on the whole group; a check reads the sample it got
+    mentions = [f"{path.name}:{n}" for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "groups.py"
+                for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if re.search(r"\border\b\D{0,12}\b64\b", line)]
+    assert mentions == []
