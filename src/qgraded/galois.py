@@ -124,11 +124,13 @@ class RelativeChain:
 
     def _verify_step(self, k: int, space: QuotientSpace):
         """Each balanced relation of T_k must map to zero under the step
-        that applies the canonical map to the last two slots; a nonzero
-        image would indicate a bug, not a property of the input."""
+        that applies the canonical map to the last two slots.  The step is
+        linear, so it is checked on the reduced relation rows that
+        `project` uses: they span the same space as the given relations.
+        A nonzero image would indicate a bug, not a property of the input."""
         dim, order = self.algebra.dim, self.algebra.group.order
         moved: dict[int, Vec] = {}  # ambient position -> its image under the step
-        for row in space.relations:
+        for row in space._pivot_rows.values():
             image: Vec = {}
             for amb, c in row.items():
                 if amb not in moved:
@@ -225,7 +227,11 @@ def beta_n(algebra: GradedAlgebra, n: int,
     never projected onto its classes.  That is exact: the step out of
     T_(k-1) was checked to send each of its balanced relations to zero when
     it was built, so an ambient vector and its projection have one image.
-    Levels below n keep every ambient position, level n its classes.
+    Levels below n keep every ambient position, level n its classes.  A
+    column's first term at a position is stored as is (a product of two
+    nonzero scalars); only a repeated position accumulates.  On a twisted
+    group algebra every column has one entry, so `LinearMap.rank` decides
+    bijectivity by counting the rows the columns hit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -235,6 +241,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
     chain = chain or RelativeChain(algebra)
     dim, nG = algebra.dim, algebra.group.order
 
+    products, grade_pos = algebra.products.get, chain.grade_pos
     images: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
     prev = range(dim)  # ambient position of each class of T_(k-1)
     for k in range(1, n + 1):
@@ -243,11 +250,15 @@ def beta_n(algebra: GradedAlgebra, n: int,
         for amb in space.basis_ambient if k == n else range(space.ambient_dim):
             c, m = divmod(amb, dim)
             cc, mm = divmod(prev[c], dim)
-            g = chain.grade_pos[m]
+            g = grade_pos[m]
             col: Vec = {}
-            for y, cy in algebra.product_coords(mm, m).items():
+            for y, cy in products((mm, m), {}).items():
                 for p, x in prev_images[cc * dim + y].items():
-                    vec_add_at(col, p * nG + g, cy, x)
+                    key = p * nG + g
+                    if key in col:
+                        vec_add_at(col, key, cy, x)
+                    else:
+                        col[key] = cy * x  # nonzero: both factors are
             images.append(col)
         prev = space.basis_ambient
     return LinearMap(dim * nG ** n, images)

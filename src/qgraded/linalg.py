@@ -9,13 +9,19 @@ takes a product's factors, never the finished product, so an update to an
 existing entry is one `Scalar.add_product`: one normalisation and one new
 object whenever the fields allow; a caller negates a scale once per scaled
 vector, never once per entry.  The primitive takes any hashable key, so other modules use it for
-tuple- and group-keyed tensors too.
+tuple- and group-keyed tensors too.  The one exception is `galois.beta_n`,
+which stores a*b at a key its vector does not hold yet without the call:
+a product of two nonzero field elements is nonzero.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a
 single backward pass (`finalize`) upgrades it to fully reduced form when
 kernels or quotient projections are needed.  Pivots are the smallest
-columns, so every result is deterministic.
+columns, so every result is deterministic.  A map whose columns each hold
+at most one entry (a monomial map, such as beta^n of a twisted group
+algebra) is ranked without elimination: columns on one row are parallel
+and columns on different rows independent, so its rank is the number of
+distinct rows hit.
 """
 
 from __future__ import annotations
@@ -94,8 +100,8 @@ class Echelon:
         pivot = min(row)
         if len(row) == 1:
             # a lone entry normalizes to exactly {pivot: 1}, so no inverse is
-            # needed: every column of a monomial map (beta^n of a twisted
-            # group algebra) takes this path
+            # needed (`LinearMap.rank` counts a monomial map's rows instead,
+            # so this serves `image_echelon` callers such as `is_galois`)
             row = {pivot: Scalar.one()}
         else:
             inv = row[pivot].inverse()
@@ -166,7 +172,11 @@ class LinearMap:
         return out
 
     def rank(self) -> int:
-        return self.image_echelon().rank
+        """A map with at most one entry per column has rank the number of
+        distinct rows its columns hit; any other is eliminated."""
+        if max(map(len, self.columns), default=0) > 1:
+            return self.image_echelon().rank
+        return len(set().union(*self.columns))
 
     def kernel(self) -> list[Vec]:
         return kernel_basis(self.rows(), self.domain_dim)

@@ -675,9 +675,17 @@ def test_each_step_is_verified_once_per_chain(monkeypatch):
     assert steps == [1, 2]
 
 
-def test_a_step_that_is_not_constant_on_a_relation_is_never_hidden(monkeypatch):
+@pytest.mark.parametrize("make,filename,relation_rank", [
+    (twisted_z2, "twisted-z2-trivial.json", 0),
+    (lambda: _quotient_graded_group_algebra(6, 3),
+     "quotient-graded-kZ6-over-Z3.json", 18)], ids=["twisted-z2", "kZ6-over-Z3"])
+def test_a_step_that_is_not_constant_on_a_relation_is_never_hidden(
+        make, filename, relation_rank, monkeypatch):
     # T_1 also lists the row u_e (x) u_e, which the step sends to the
-    # nonzero u_e (x) e: the check raises where T_1 is built
+    # nonzero u_e (x) e: the check raises where T_1 is built, also where
+    # the planted row is reduced against balanced relations
+    A = make()
+    assert RelativeChain(A).space(1).relation_rank == relation_rank
     init = QuotientSpace.__init__
 
     def planted(self, ambient_dim, relation_rows):
@@ -685,10 +693,43 @@ def test_a_step_that_is_not_constant_on_a_relation_is_never_hidden(monkeypatch):
 
     monkeypatch.setattr(QuotientSpace, "__init__", planted)
     with pytest.raises(InternalConsistencyError, match="step 1 "):
-        is_galois(twisted_z2())
+        is_galois(A)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     with pytest.raises(InternalConsistencyError, match="step 1 "):
-        main(["check", str(corpus / "twisted-z2-trivial.json")])
+        main(["check", str(corpus / filename)])
+
+
+def _twisted_z4x4():
+    G = GradingGroup(0, (4, 4))
+    b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], root_of_unity(4))
+    return build_twisted_group_algebra(G, b)
+
+
+def _forbid_echelon_add(monkeypatch):
+    def forbidden(self, row):
+        raise AssertionError("Echelon.add called")
+
+    monkeypatch.setattr(Echelon, "add", forbidden)
+
+
+def test_a_monomial_beta_n_is_ranked_without_elimination(monkeypatch):
+    A = _twisted_z4x4()
+    bmap = beta_n(A, 3)  # building T_1..T_3 eliminates their relations
+    assert bmap.domain_dim == 16 * 16 ** 3
+    assert all(len(col) == 1 for col in bmap.columns)
+    _forbid_echelon_add(monkeypatch)
+    assert bmap.is_bijective()
+
+
+def test_a_non_monomial_beta_n_is_still_eliminated(monkeypatch):
+    A = _quotient_graded_in_a_cyclotomic_basis()
+    bmap = beta_n(A, 2)
+    assert any(len(col) > 1 for col in bmap.columns)
+    _forbid_echelon_add(monkeypatch)
+    with pytest.raises(AssertionError, match="Echelon.add"):
+        bmap.is_bijective()
+    monkeypatch.undo()
+    assert bmap.is_bijective()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

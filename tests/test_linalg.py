@@ -1,4 +1,5 @@
 import copy
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -186,6 +187,48 @@ def test_linear_map_bijectivity():
     assert bad.rank() == 1
     kernel = bad.kernel()
     assert len(kernel) == 1
+
+
+def _monomial_map(rng):
+    """A map with at most one entry per column: empty columns, several
+    columns on one row and rows hit by none, with rational, zeta_3 and
+    zeta_4 values."""
+    values = [s(1), s(-2), s(Fraction(3, 5)), root_of_unity(3),
+              Scalar.cyclotomic(3, [2, 1]), root_of_unity(4),
+              Scalar.cyclotomic(4, [1, -1])]
+    rows = rng.randint(1, 8)
+    columns = [{} if rng.random() < 0.2 else
+               {rng.randrange(rows): rng.choice(values)}
+               for _ in range(rng.randint(0, 10))]
+    return LinearMap(rows, columns)
+
+
+def test_rank_of_a_monomial_map_counts_the_rows_it_hits():
+    rng = random.Random(20260)
+    maps = [_monomial_map(rng) for _ in range(300)]
+    for bmap in maps:
+        assert bmap.rank() == bmap.image_echelon().rank
+    # the draw covers the cases where counting columns or entries is wrong
+    assert any(bmap.rank() < sum(map(len, bmap.columns)) for bmap in maps)
+    assert any({} in bmap.columns for bmap in maps)
+    assert any(bmap.is_bijective() for bmap in maps)
+
+
+def test_rank_counts_without_elimination_only_on_monomial_maps(monkeypatch):
+    adds = []
+    add = Echelon.add
+
+    def counting(self, row):
+        adds.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting)
+    z3 = root_of_unity(3)
+    assert LinearMap(3, [{2: z3}, {0: s(2)}, {2: s(1)}, {}]).rank() == 2
+    assert adds == []
+    # one two-entry column: three rows are hit, but the rank is 2
+    assert LinearMap(3, [{0: s(1), 1: z3}, {2: z3}, {2: s(1)}]).rank() == 2
+    assert len(adds) == 3
 
 
 def test_vec_add_scaled_drops_zeros():

@@ -26,19 +26,28 @@ def test_equivalence_suite_reports_a_non_bijective_iterate(monkeypatch, capsys):
                         lambda: [CorpusEntry("group-algebra-z2", A, None, True)])
     beta_n = suite.beta_n
 
-    def broken_beta_n(algebra, n, **kw):
-        bmap = beta_n(algebra, n, **kw)
-        if n == 2:
-            bmap.columns[0] = {}
-        return bmap
+    def empty_first_column(columns):
+        columns[0] = {}
 
-    monkeypatch.setattr(suite, "beta_n", broken_beta_n)
-    monkeypatch.setattr("sys.argv", ["run_equivalence_suite.py", "--beta", "2"])
-    assert suite.main() == 1
-    out = capsys.readouterr().out
-    assert "FAIL: beta^2 of group-algebra-z2 is not bijective" in out
-    assert "iterates 1..2 bijective" not in out
-    assert "1 non-bijective iterates" in out
+    def first_two_columns_on_one_row(columns):
+        # still monomial, so the rank is counted, not eliminated
+        (row, x), = columns[0].items()
+        columns[1] = {row: x + x}
+
+    for breaks in (empty_first_column, first_two_columns_on_one_row):
+        def broken_beta_n(algebra, n, **kw):
+            bmap = beta_n(algebra, n, **kw)
+            if n == 2:
+                breaks(bmap.columns)
+            return bmap
+
+        monkeypatch.setattr(suite, "beta_n", broken_beta_n)
+        monkeypatch.setattr("sys.argv", ["run_equivalence_suite.py", "--beta", "2"])
+        assert suite.main() == 1, breaks.__name__
+        out = capsys.readouterr().out
+        assert "FAIL: beta^2 of group-algebra-z2 is not bijective" in out
+        assert "iterates 1..2 bijective" not in out
+        assert "1 non-bijective iterates" in out
 
 
 def test_equivalence_suite_rejects_a_negative_depth(monkeypatch, capsys):
