@@ -227,11 +227,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
     never projected onto its classes.  That is exact: the step out of
     T_(k-1) was checked to send each of its balanced relations to zero when
     it was built, so an ambient vector and its projection have one image.
-    Levels below n keep every ambient position, level n its classes.  A
-    column's first term at a position is stored as is (a product of two
-    nonzero scalars); only a repeated position accumulates.  On a twisted
-    group algebra every column has one entry, so `LinearMap.rank` decides
-    bijectivity by counting the rows the columns hit.
+    Levels below n keep every ambient position, level n its classes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -241,7 +237,7 @@ def beta_n(algebra: GradedAlgebra, n: int,
     chain = chain or RelativeChain(algebra)
     dim, nG = algebra.dim, algebra.group.order
 
-    products, grade_pos = algebra.products.get, chain.grade_pos
+    product_coords, grade_pos = algebra.product_coords, chain.grade_pos
     images: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
     prev = range(dim)  # ambient position of each class of T_(k-1)
     for k in range(1, n + 1):
@@ -252,13 +248,9 @@ def beta_n(algebra: GradedAlgebra, n: int,
             cc, mm = divmod(prev[c], dim)
             g = grade_pos[m]
             col: Vec = {}
-            for y, cy in products((mm, m), {}).items():
+            for y, cy in product_coords(mm, m).items():
                 for p, x in prev_images[cc * dim + y].items():
-                    key = p * nG + g
-                    if key in col:
-                        vec_add_at(col, key, cy, x)
-                    else:
-                        col[key] = cy * x  # nonzero: both factors are
+                    vec_add_at(col, p * nG + g, cy, x)
             images.append(col)
         prev = space.basis_ambient
     return LinearMap(dim * nG ** n, images)

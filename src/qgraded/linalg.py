@@ -9,19 +9,16 @@ takes a product's factors, never the finished product, so an update to an
 existing entry is one `Scalar.add_product`: one normalisation and one new
 object whenever the fields allow; a caller negates a scale once per scaled
 vector, never once per entry.  The primitive takes any hashable key, so other modules use it for
-tuple- and group-keyed tensors too.  The one exception is `galois.beta_n`,
-which stores a*b at a key its vector does not hold yet without the call:
-a product of two nonzero field elements is nonzero.
+tuple- and group-keyed tensors too.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a
 single backward pass (`finalize`) upgrades it to fully reduced form when
 kernels or quotient projections are needed.  Pivots are the smallest
 columns, so every result is deterministic.  A map whose columns each hold
-at most one entry (a monomial map, such as beta^n of a twisted group
-algebra) is ranked without elimination: columns on one row are parallel
-and columns on different rows independent, so its rank is the number of
-distinct rows hit.
+at most one entry (a monomial map) is ranked without elimination: columns
+on one row are parallel and columns on different rows independent, so its
+rank is the number of distinct rows hit.
 """
 
 from __future__ import annotations
@@ -99,9 +96,8 @@ class Echelon:
             return False
         pivot = min(row)
         if len(row) == 1:
-            # a lone entry normalizes to exactly {pivot: 1}, so no inverse is
-            # needed (`LinearMap.rank` counts a monomial map's rows instead,
-            # so this serves `image_echelon` callers such as `is_galois`)
+            # a lone entry normalizes to exactly {pivot: 1}, so no inverse
+            # is needed
             row = {pivot: Scalar.one()}
         else:
             inv = row[pivot].inverse()
