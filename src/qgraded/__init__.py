@@ -6,12 +6,11 @@ from .algebras import (GradedAlgebra, QCReport, StrongGradingReport,
                        build_b_symmetric_truncation, build_group_algebra,
                        build_truncated_poly, build_twisted_group_algebra,
                        check_quantum_commutativity, check_strong_grading,
-                       coaction, coinvariants, strong_grading_window)
+                       coaction, coinvariants)
 from .commutation import (CommutationFactor, check_cqt_axioms, standard_factor,
                           trivial_factor)
 from .errors import (CapExceededError, DescriptorError, GroupMismatchError,
-                     InfiniteGroupError, InternalConsistencyError,
-                     QgradedError, ScalarParseError)
+                     InternalConsistencyError, QgradedError, ScalarParseError)
 from .galois import (EquivalenceReport, GaloisReport, QuotientSpace,
                      RelativeChain, beta_n, canonical_map,
                      check_equivalence_theorem, is_galois)
@@ -24,7 +23,7 @@ __all__ = [
     "CapExceededError", "CommutationFactor", "DescriptorError", "Echelon",
     "EquivalenceReport", "GaloisReport", "GradedAlgebra", "GradingGroup",
     "GroupAlgebraElement", "GroupElement", "GroupMismatchError",
-    "InfiniteGroupError", "InternalConsistencyError", "LinearMap", "QCReport",
+    "InternalConsistencyError", "LinearMap", "QCReport",
     "QgradedError", "QuotientSpace", "RelativeChain", "Scalar",
     "ScalarParseError", "StrongGradingReport", "beta_n",
     "build_b_symmetric_truncation", "build_group_algebra",
@@ -32,8 +31,7 @@ __all__ = [
     "check_cqt_axioms", "check_equivalence_theorem", "check_hopf_axioms",
     "check_quantum_commutativity", "check_strong_grading", "coaction",
     "coinvariants", "format_scalar", "is_galois", "parse_scalar",
-    "root_of_unity", "standard_factor", "strong_grading_window",
-    "trivial_factor",
+    "root_of_unity", "standard_factor", "trivial_factor",
 ]
 
 __version__ = "0.1.0"

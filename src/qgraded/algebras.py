@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .commutation import CommutationFactor, trivial_factor
-from .errors import GroupMismatchError, InfiniteGroupError
+from .errors import GroupMismatchError
 from .groups import GradingGroup, GroupElement
 from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
 from .reports import CheckReport
@@ -64,9 +64,6 @@ class GradedAlgebra:
     def component(self, g: GroupElement) -> list[int]:
         """Basis indices of the grade-g component."""
         return self._components.get(g.coords, [])
-
-    def grades_present(self) -> list[GroupElement]:
-        return [self.group.element(c) for c in sorted(self._components)]
 
     # -- products -----------------------------------------------------
 
@@ -260,9 +257,10 @@ class StrongGradingReport:
     missing: int | None = None
 
 
-def _grade_pair_spans(algebra: GradedAlgebra, grades: list[GroupElement]):
+def _grade_pair_spans(algebra: GradedAlgebra):
     """Yield (g, h, A_{g+h}, span of A_g * A_h) for each ordered pair of
     grades with A_{g+h} != 0; each span stops growing once it fills A_{g+h}."""
+    grades = algebra.group.elements()
     for g in grades:
         for h in grades:
             target = algebra.component(g + h)
@@ -279,37 +277,16 @@ def _grade_pair_spans(algebra: GradedAlgebra, grades: list[GroupElement]):
 
 
 def check_strong_grading(algebra: GradedAlgebra) -> StrongGradingReport:
-    """Decide A_g * A_h = A_{gh} for all pairs of grades; finite G only.
+    """Decide A_g * A_h = A_{gh} for all pairs of grades.
 
     On failure returns the first offending pair in enumeration order plus
     the index of the first basis vector of A_{gh} outside the product span.
     """
-    if not algebra.group.is_finite:
-        raise InfiniteGroupError("strong-grading decision requires finite G")
-    for g, h, target, span in _grade_pair_spans(algebra, algebra.group.elements()):
+    for g, h, target, span in _grade_pair_spans(algebra):
         if span.rank < len(target):
             missing = next(k for k in target if not span.contains({k: Scalar.one()}))
             return StrongGradingReport(False, (g, h), missing)
     return StrongGradingReport(True)
-
-
-@dataclass
-class WindowEvidence:
-    """Span comparison for one grade pair of an infinitely graded algebra.
-
-    Evidence only: a truncated basis cannot decide strong grading, so no
-    verdict is derived from these rows.
-    """
-
-    g: GroupElement
-    h: GroupElement
-    spanned: bool
-
-
-def strong_grading_window(algebra: GradedAlgebra) -> list[WindowEvidence]:
-    """Per-pair span evidence over the grades present in the basis."""
-    return [WindowEvidence(g, h, span.rank == len(target))
-            for g, h, target, span in _grade_pair_spans(algebra, algebra.grades_present())]
 
 
 # -- builders --------------------------------------------------------------
@@ -324,8 +301,6 @@ def build_twisted_group_algebra(group: GradingGroup,
     and u_e = 1.  Strongly graded, with a one-dimensional identity
     component.
     """
-    if not group.is_finite:
-        raise InfiniteGroupError("twisted group algebra requires a finite group")
     if b.group != group:
         raise GroupMismatchError("factor is not defined on the requested group")
     elements = group.elements()

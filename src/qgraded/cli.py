@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .algebras import (b_symmetric_dim, build_b_symmetric_truncation,
                        build_truncated_poly, build_twisted_group_algebra,
-                       check_quantum_commutativity, strong_grading_window)
+                       check_quantum_commutativity)
 from .commutation import check_cqt_axioms
 from .descriptors import (MAX_ALGEBRA_DIM, Descriptor, canonical_json,
                           dump_descriptor, factor_from_dict, load_descriptor)
-from .errors import CapExceededError, DescriptorError, InfiniteGroupError
+from .errors import CapExceededError, DescriptorError
 from .galois import check_equivalence_theorem
 from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup
@@ -62,7 +62,7 @@ def _check_group_size(group: GradingGroup, cap: int):
         raise CapExceededError(
             f"{_count(group.ngens)} group generators exceed the "
             f"{cap.bit_length() - 1} allowed by the cap {cap}")
-    if group.is_finite and group.order > cap:
+    if group.order > cap:
         raise CapExceededError(f"group order {_count(group.order)} exceeds the cap {cap}")
 
 
@@ -77,12 +77,7 @@ def _admit(path: str, max_group_order: int) -> Descriptor:
     algebra (its loader applies the dimension cap) or a grading group above
     its cap, so that no check runs on a refused input."""
     desc = load_descriptor(path, validate_algebra=False)
-    group = desc.group
-    _check_group_size(group, max_group_order)
-    if desc.factor is not None:  # b meets |g_i*h_j| <= 8 on GradingGroup.sample, m^2 in qc
-        m = max((abs(x) for _, g in (desc.algebra.basis if desc.algebra else [])
-                 for x in g.coords[:group.free_rank]), default=0)
-        desc.factor.check_value_size(max(8, m * m))
+    _check_group_size(desc.group, max_group_order)
     return desc
 
 
@@ -111,8 +106,7 @@ def _count(n: int) -> str:
 
 
 def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
-    group = desc.group
-    rows = _rows_from_report(check_hopf_axioms(group), expect)
+    rows = _rows_from_report(check_hopf_axioms(desc.group), expect)
     if desc.factor is not None:
         rows += _rows_from_report(check_cqt_axioms(desc.factor), expect)
     if desc.algebra is not None:
@@ -131,7 +125,7 @@ def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
         if not validation.passed:
             rows.append(_row("grading.strong", False,
                              note="skipped: algebra failed structural validation"))
-        elif group.is_finite:
+        else:
             eq = check_equivalence_theorem(algebra)
             strong, galois = eq.strong, eq.galois
             witness = None
@@ -154,13 +148,6 @@ def _check_descriptor(desc: Descriptor, expect: dict[str, bool]) -> list[dict]:
                                   f"{galois.domain_dim} -> {galois.codomain_dim}"))
             rows.append(_row("equivalence.agreement", eq.agree,
                              note="strong grading and Galois verdicts must coincide"))
-        else:
-            window = strong_grading_window(algebra)
-            spanned = sum(1 for w in window if w.spanned)
-            rows.append(_row(
-                "grading.window-evidence", True,
-                note=f"infinite grading group: no verdict; {spanned}/{len(window)} "
-                     f"grade pairs spanned within the truncated basis"))
     return rows
 
 
@@ -217,7 +204,7 @@ def _build_from_args(args) -> Descriptor:
     N = args.N
     if N < 1:
         raise ValueError("N must be >= 1")
-    group = GradingGroup(N, ()) if args.n == 0 else GradingGroup(0, (args.n,) * N)
+    group = GradingGroup(0, (args.n,) * N)
     _check_group_size(group, DEFAULT_MAX_GROUP_ORDER)
     sigma = _parse_matrix(args.sigma, "sigma") if args.sigma else \
         [[0] * N for _ in range(N)]
@@ -225,11 +212,8 @@ def _build_from_args(args) -> Descriptor:
         [[0] * N for _ in range(N)]
     factor = factor_from_dict(group, {"sigma": sigma, "omega": omega, "q": args.q})
     if args.builder == "twisted-group-algebra":
-        if args.n == 0:
-            raise ValueError("twisted-group-algebra requires a finite group (n >= 2)")
         algebra = build_twisted_group_algebra(group, factor)
     else:
-        factor.check_value_size(args.max_degree ** 2)
         _check_algebra_dim(b_symmetric_dim(factor, args.max_degree))
         algebra = build_b_symmetric_truncation(factor, args.max_degree)
     return Descriptor(group, factor, algebra)
@@ -282,7 +266,7 @@ def cmd_suite(args) -> int:
                 row["strong"] = eq.strong.strong
                 row["galois"] = eq.galois.galois
                 row["agree"] = eq.agree
-        except (DescriptorError, CapExceededError, InfiniteGroupError) as exc:
+        except (DescriptorError, CapExceededError) as exc:
             row["error"] = str(exc)
         row["seconds"] = round(time.monotonic() - started, 3)
         rows.append(row)
@@ -332,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "truncated-poly", "b-symmetric"])
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--n", type=int, default=0,
-                   help="torsion order of the grading group (0 = free)")
+                   help="torsion order (>= 2) of each generator of the grading group")
     p.add_argument("--N", type=int, default=1, help="number of generators")
     p.add_argument("--m", type=int, default=2,
                    help="truncation order for truncated-poly")

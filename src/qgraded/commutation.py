@@ -12,25 +12,17 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceededError, GroupMismatchError
+from .errors import GroupMismatchError
 from .groups import GradingGroup, GroupElement
 from .reports import CheckReport
 from .scalars import Scalar
 
-# Python prints no integer of more than 4,300 digits (14,284 bits); the
-# margin covers reduction modulo Phi_n, which the height of q leaves out
-MAX_VALUE_BITS = 8192
 
-
-def _height(q: Scalar) -> int:
-    """Bits a factor q or 1/q may add to a product; 0 for a root of unity,
-    that is den == 1 and q * conj(q) = 1 (Kronecker, the field being abelian)."""
+def _is_root_of_unity(q: Scalar) -> bool:
+    """Kronecker's test (the field being abelian): den == 1 and q * conj(q) = 1."""
     n, k = q.order, len(q.nums)
     conj = Scalar.cyclotomic(n, [q.nums[-j % n] if -j % n < k else 0 for j in range(n)])
-    if q.den == 1 and (q * conj).is_one():
-        return 0
-    return max(sum(map(abs, x.nums)).bit_length() + x.den.bit_length()
-               for x in (q, q.inverse()))
+    return q.den == 1 and (q * conj).is_one()
 
 
 def _exponent(entries, g, h) -> int:
@@ -42,10 +34,9 @@ class CommutationFactor:
     """Bicharacter on a grading group, determined by (sigma, omega, q).
 
     Construction validates symmetry of sigma, antisymmetry of omega,
-    q != 0, and for torsion groups the well-definedness condition
-    b(xi_i, xi_j)^{n_i} = 1 on every generator pair touching a torsion
-    coordinate.  The powers of q it takes are memoised; sigma, omega and q
-    are fixed at construction.
+    q != 0, and the well-definedness condition b(xi_i, xi_j)^{n_i} = 1
+    on every generator pair.  The powers of q it takes are memoised;
+    sigma, omega and q are fixed at construction.
     """
 
     def __init__(self, group: GradingGroup, sigma, omega, q: Scalar):
@@ -70,8 +61,6 @@ class CommutationFactor:
         self.sigma = sigma
         self.omega = omega
         self.q = q
-        self._height = _height(q) if any(map(any, omega)) else 0
-        self.check_value_size(1)
         # each matrix by its nonzero entries (i, j, m_ij)
         self._sigma_entries, self._omega_entries = (
             tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
@@ -83,22 +72,16 @@ class CommutationFactor:
         self._powers: dict[int, Scalar] = {0: Scalar.one(), 1: q}
         # b(xi_i, xi_j)^n_i == 1, with no power above 2m for a value in
         # Q(zeta_m): a value that is no root of unity has no power 1, a root
-        # of unity one whose order divides 2m
-        for i, n_i in enumerate(group.torsion, group.free_rank):
+        # of unity one whose order divides 2m; so a q that is no root of
+        # unity is refused at an omega_ij != 0 before any power of it is taken
+        rooted = not any(map(any, omega)) or _is_root_of_unity(q)
+        for i, n_i in enumerate(group.torsion):
             for j in range(n):
-                x = None if self._height and omega[i][j] else self.generator_value(i, j)
+                x = None if omega[i][j] and not rooted else self.generator_value(i, j)
                 if x is None or not (x ** (n_i % (2 * x.order))).is_one():
                     raise ValueError(
                         f"factor is not well-defined on torsion coordinate {i} "
                         f"(modulus {n_i}): b(gen {i}, gen {j})^{n_i} != 1")
-
-    def check_value_size(self, reach: int):
-        """Refuse, before any power is taken, values b(g, h) with all
-        |g_i*h_j| <= reach: at most sum |g_i*h_j*omega_ij| * height(q) bits."""
-        if reach * sum(abs(x) for row in self.omega for x in row) * self._height \
-                > MAX_VALUE_BITS:
-            raise CapExceededError(
-                f"commutation factor values may exceed the cap of {MAX_VALUE_BITS} bits")
 
     def _value(self, s: int, w: int) -> Scalar:
         """(-1)^s * q^w, the one rule for b's values; a negative w takes

@@ -3,7 +3,7 @@
 One descriptor file bundles a group, optionally a factor over it, and
 optionally an algebra graded by it:
 
-    {"group":   {"free_rank": r, "torsion": [n1, ...]},
+    {"group":   {"free_rank": 0, "torsion": [n1, ...]},
      "factor":  {"sigma": [[...]], "omega": [[...]], "q": "<scalar>"},
      "algebra": {"basis": [{"label": "x", "grade": [1, 0]}, ...],
                  "unit": {"0": "1"},
@@ -65,8 +65,8 @@ def group_from_dict(d: dict) -> GradingGroup:
     _require(not unknown, f"group descriptor has unknown keys {sorted(unknown)}")
     free_rank = d.get("free_rank", 0)
     torsion = d.get("torsion", [])
-    _require(_is_int(free_rank) and free_rank >= 0,
-             "free_rank must be a nonnegative integer")
+    _require(_is_int(free_rank) and free_rank == 0,
+             "free_rank must be 0: grading groups are finite")
     _require(isinstance(torsion, list) and all(_is_int(n) for n in torsion),
              "torsion must be a list of integers")
     try:

@@ -17,10 +17,6 @@ class GroupMismatchError(QgradedError, ValueError):
     """Operands belong to different grading groups or algebras."""
 
 
-class InfiniteGroupError(QgradedError, ValueError):
-    """An operation that needs a finite group was given an infinite one."""
-
-
 class CapExceededError(QgradedError, RuntimeError):
     """A configured resource cap was exceeded."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants, word_closure
-from .errors import CapExceededError, InfiniteGroupError, InternalConsistencyError
+from .errors import CapExceededError, InternalConsistencyError
 from .linalg import LinearMap, Vec, rref, vec_add_at
 from .reports import combination_text
 from .scalars import Scalar
@@ -78,13 +78,11 @@ class RelativeChain:
     T_0 is the algebra itself; T_k is (T_{k-1} tensor A) modulo the
     balanced relations t (x) x*y - t*x (x) y with x running over
     generators of the subalgebra, which `word_closure` picks from its
-    basis vectors.  Spaces are built on demand and cached.  The grading group
-    must be finite; grade_pos[i] is the `GradingGroup.index` of grade(i).
+    basis vectors.  Spaces are built on demand and cached;
+    grade_pos[i] is the `GradingGroup.index` of grade(i).
     """
 
     def __init__(self, algebra: GradedAlgebra):
-        if not algebra.group.is_finite:
-            raise InfiniteGroupError("relative tensor powers require a finite grading group")
         self.algebra = algebra
         self.grade_pos = [algebra.group.index(g.coords) for _label, g in algebra.basis]
         self.sub = algebra.component(algebra.group.identity())
@@ -210,8 +208,7 @@ def is_galois(algebra: GradedAlgebra,
 
 def beta_n(algebra: GradedAlgebra, n: int,
            chain: RelativeChain | None = None) -> LinearMap:
-    """The n-fold iterate of the canonical map; the grading group must be
-    finite.
+    """The n-fold iterate of the canonical map.
 
     Domain: the (n+1)-fold relative tensor power T_n; column q is its
     quotient basis class q.  Codomain: algebra (x) n copies of the group

@@ -39,7 +39,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def group_like(cls, g: GroupElement) -> "GroupAlgebraElement":
-        return cls(g.group, {(g,): Scalar.one()})
+        return cls(g.group, {(g,): Scalar.one()}, nonzero=True)
 
     @classmethod
     def unit(cls, group: GradingGroup) -> "GroupAlgebraElement":

@@ -1,16 +1,19 @@
-"""Finitely generated abelian grading groups Z^r x Z_{n1} x ... x Z_{nk}."""
+"""Finite abelian grading groups Z_{n1} x ... x Z_{nk}."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .errors import GroupMismatchError, InfiniteGroupError
+from .errors import GroupMismatchError
 
 
 @dataclass(frozen=True)
 class GradingGroup:
-    """Z^free_rank x Z_{torsion[0]} x ... ; generators are the unit vectors."""
+    """Z_{torsion[0]} x Z_{torsion[1]} x ... ; generators are the unit
+    vectors.  `free_rank` is kept in the signature and the descriptor
+    format, and must be 0."""
 
     free_rank: int
     torsion: tuple[int, ...] = ()
@@ -20,28 +23,24 @@ class GradingGroup:
                         compare=False)
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        if self.free_rank != 0:
+            raise ValueError("free_rank must be 0: grading groups are finite")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         if any(n < 2 for n in self.torsion):
             raise ValueError("torsion moduli must be >= 2")
 
     @property
     def ngens(self) -> int:
-        return self.free_rank + len(self.torsion)
+        return len(self.torsion)
 
     @property
     def is_finite(self) -> bool:
-        return self.free_rank == 0
+        """Always True: every grading group is finite."""
+        return True
 
     @property
     def order(self) -> int:
-        if not self.is_finite:
-            raise InfiniteGroupError("infinite group has no order")
-        out = 1
-        for n in self.torsion:
-            out *= n
-        return out
+        return math.prod(self.torsion)
 
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, coords)
@@ -58,9 +57,7 @@ class GradingGroup:
         return [self.generator(i) for i in range(self.ngens)]
 
     def elements(self) -> list["GroupElement"]:
-        """All elements in lexicographic coordinate order; finite groups only."""
-        if not self.is_finite:
-            raise InfiniteGroupError("enumeration requires finite group")
+        """All elements in lexicographic coordinate order."""
         return [GroupElement(self, coords)
                 for coords in itertools.product(*(range(n) for n in self.torsion))]
 
@@ -68,33 +65,30 @@ class GradingGroup:
         """The elements the law checks run on: the whole group, in `elements()`
         order, up to order 64; otherwise the identity, the generators, their
         inverses and their doubles, each kept once, in that order."""
-        if self.is_finite and self.order <= 64:
+        if self.order <= 64:
             return self.elements()
         gens = self.generators()
         return list(dict.fromkeys(
             [self.identity()] + gens + [-g for g in gens] + [g + g for g in gens]))
 
     def is_whole(self, elements) -> bool:
-        """Whether these elements of the group are all of it (finite only)."""
-        return self.is_finite and len(set(elements)) == self.order
+        """Whether these elements of the group are all of it."""
+        return len(set(elements)) == self.order
 
     def index(self, coords) -> int:
         """Position in `elements()` of the reduced element with these coordinates."""
-        if not self.is_finite:
-            raise InfiniteGroupError("positions require a finite group")
         pos = 0
         for c, n in zip(coords, self.torsion, strict=True):
             pos = pos * n + c % n
         return pos
 
     def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z_{n}" for n in self.torsion]
-        return " x ".join(parts) if parts else "trivial"
+        return " x ".join(f"Z_{n}" for n in self.torsion) or "trivial"
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of a GradingGroup; torsion coordinates stored reduced.
+    """Element of a GradingGroup; coordinates stored reduced.
     Immutable, so its hash is computed once."""
 
     group: GradingGroup
@@ -105,9 +99,8 @@ class GroupElement:
         if len(coords) != group.ngens:
             raise ValueError(
                 f"expected {group.ngens} coordinates, got {len(coords)}")
-        r = group.free_rank
-        object.__setattr__(self, "coords", coords[:r] + tuple(
-            c % n for c, n in zip(coords[r:], group.torsion)))
+        object.__setattr__(self, "coords", tuple(
+            c % n for c, n in zip(coords, group.torsion)))
         object.__setattr__(self, "_hash", hash((group, self.coords)))
 
     def __hash__(self) -> int:

@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from qgraded.algebras import GradedAlgebra
 from qgraded.corpus import standard_corpus
-from qgraded.groups import GradingGroup
 from qgraded.scalars import Scalar
 
 # the same examples on every run: no random seed and no example database
@@ -38,17 +36,3 @@ def strong_corpus(corpus):
 @pytest.fixture(scope="session")
 def weak_corpus(corpus):
     return [e for e in corpus if not e.expect_strong]
-
-
-@pytest.fixture
-def window_algebra():
-    """Basis 1, x, y graded by Z in degrees 0, 1, 2 with x*x deleted: of the
-    six grade pairs whose target grade is present, only (1, 1) is not
-    spanned by its products."""
-    group = GradingGroup(1)
-    basis = [("1", group.element((0,))), ("x", group.element((1,))),
-             ("y", group.element((2,)))]
-    one = Scalar.one()
-    products = {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one},
-                (1, 0): {1: one}, (2, 0): {2: one}}
-    return GradedAlgebra(group, basis, products, {0: one})

@@ -10,10 +10,9 @@ from qgraded.algebras import (GradedAlgebra,
                               build_twisted_group_algebra,
                               check_quantum_commutativity,
                               check_strong_grading, coaction, coinvariants,
-                              strong_grading_window, word_closure)
+                              word_closure)
 from qgraded.commutation import standard_factor, trivial_factor
 from qgraded.descriptors import Descriptor, dump_descriptor
-from qgraded.errors import InfiniteGroupError
 from qgraded.groups import GradingGroup
 from qgraded.linalg import Echelon, vec_add_scaled
 from qgraded.reports import combination_text
@@ -236,32 +235,6 @@ def test_group_algebra_over_itself_is_strong():
     assert check_strong_grading(build_group_algebra(GradingGroup(0, (2,)))).strong
 
 
-def test_strong_grading_requires_finite_group():
-    b = trivial_factor(GradingGroup(1))
-    A = build_b_symmetric_truncation(b, 2)
-    with pytest.raises(InfiniteGroupError, match="finite"):
-        check_strong_grading(A)
-
-
-def test_window_evidence_for_free_grading():
-    b = trivial_factor(GradingGroup(1))
-    A = build_b_symmetric_truncation(b, 3)
-    window = strong_grading_window(A)
-    assert window, "expected some grade pairs"
-    # the window only lists pairs whose target grade is present in the
-    # basis, and inside the truncation every such span is full
-    assert all(w.spanned for w in window)
-
-
-def test_window_evidence_for_a_non_spanned_pair(window_algebra):
-    window = strong_grading_window(window_algebra)
-    assert [(w.g.coords, w.h.coords) for w in window] == [
-        ((0,), (0,)), ((0,), (1,)), ((0,), (2,)), ((1,), (0,)), ((1,), (1,)),
-        ((2,), (0,))]
-    assert [(w.g.coords, w.h.coords) for w in window if not w.spanned] == \
-        [((1,), (1,))]
-
-
 def test_strong_grading_adds_each_product_until_its_span_is_full(corpus, monkeypatch):
     # the span of A_g * A_h stops growing once it fills A_{g+h}, which
     # fixes the number of rows added over the corpus
@@ -276,17 +249,6 @@ def test_strong_grading_adds_each_product_until_its_span_is_full(corpus, monkeyp
     for entry in corpus:
         check_strong_grading(entry.algebra)
     assert len(calls) == 1379
-
-
-def test_window_spans_every_pair_exactly_on_strong_corpus_algebras(corpus):
-    # with every grade present the window runs over the whole group, so it
-    # must reach the strong decision's verdict by the same spans
-    full = [e.algebra for e in corpus
-            if len(e.algebra.grades_present()) == e.algebra.group.order]
-    assert len(full) == len(corpus) - 1
-    for A in full:
-        assert all(w.spanned for w in strong_grading_window(A)) == \
-            check_strong_grading(A).strong, A
 
 
 # -- builders ----------------------------------------------------------------
@@ -359,14 +321,14 @@ def test_truncated_poly_structure(m):
 
 
 def test_pauli_truncation_basis():
-    b = standard_factor(GradingGroup(1), [[1]], [[0]], Scalar.one())
+    b = standard_factor(GradingGroup(0, (2,)), [[1]], [[0]], Scalar.one())
     A = build_b_symmetric_truncation(b, 3)
     assert [A.label(i) for i in range(A.dim)] == ["1", "x"]
     assert A.multiply(basis(1), basis(1)) == {}
 
 
 def test_quantum_plane_basis_up_to_degree_two():
-    b = standard_factor(GradingGroup(2), [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
+    b = standard_factor(GradingGroup(0, (3, 3)), [[0, 0], [0, 0]], [[0, 1], [-1, 0]],
                         root_of_unity(3))
     A = build_b_symmetric_truncation(b, 2)
     assert [A.label(i) for i in range(A.dim)] == ["1", "x", "y", "x^2", "x*y", "y^2"]
@@ -375,14 +337,14 @@ def test_quantum_plane_basis_up_to_degree_two():
 
 
 def test_trivial_factor_truncation_is_commutative():
-    A = build_b_symmetric_truncation(trivial_factor(GradingGroup(2)), 3)
+    A = build_b_symmetric_truncation(trivial_factor(GradingGroup(0, (4, 4))), 3)
     for i in range(A.dim):
         for j in range(A.dim):
             assert A.multiply(basis(i), basis(j)) == A.multiply(basis(j), basis(i))
 
 
 def test_truncation_cuts_products_above_max_degree():
-    A = build_b_symmetric_truncation(trivial_factor(GradingGroup(1)), 2)
+    A = build_b_symmetric_truncation(trivial_factor(GradingGroup(0, (3,))), 2)
     x2 = A.multiply(basis(1), basis(1))
     assert x2 != {}
     assert A.multiply(x2, basis(1)) == {}
@@ -420,7 +382,7 @@ def test_b_symmetric_truncations_are_quantum_commutative(corpus):
 @given(s00=st.integers(0, 1), s11=st.integers(0, 1), s01=st.integers(0, 1),
        w=st.integers(-2, 2), deg=st.integers(1, 3))
 def test_fermionic_generators_square_to_zero(s00, s11, s01, w, deg):
-    b = standard_factor(GradingGroup(2), [[s00, s01], [s01, s11]],
+    b = standard_factor(GradingGroup(0, (4, 4)), [[s00, s01], [s01, s11]],
                         [[0, w], [-w, 0]], root_of_unity(4))
     A = build_b_symmetric_truncation(b, deg)
     # degree-1 monomials sit right after the unit, in generator order
@@ -580,7 +542,7 @@ def test_word_closure_picks_few_generators(make, generators):
                                               (0, 2), (2, 1), (1, 2), (0, 3)])
 def test_b_symmetric_dim_counts_the_basis(bosons, fermions):
     N = bosons + fermions
-    G = GradingGroup(N, ())
+    G = GradingGroup(0, (2,) * N)
     sigma = [[int(i == j and i >= bosons) for j in range(N)] for i in range(N)]
     b = standard_factor(G, sigma, [[0] * N for _ in range(N)], Scalar.one())
     for d in range(1, 5):

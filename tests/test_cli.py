@@ -142,25 +142,6 @@ def test_suite_reports_a_structurally_invalid_algebra(tmp_path, broken, witness)
     assert row["strong"] is row["galois"] is row["agree"] is None
 
 
-def test_free_grading_gets_window_evidence_from_check_and_an_error_from_suite(
-        tmp_path, window_algebra):
-    scan = tmp_path / "descriptors"
-    scan.mkdir()
-    path = scan / "window.json"
-    path.write_text(dump_descriptor(Descriptor(window_algebra.group, None,
-                                               window_algebra)),
-                    encoding="utf-8")
-    report = tmp_path / "report.json"
-    assert main(["check", str(path), "--report", str(report)]) == 0
-    rows = {r["id"]: r for r in json.loads(report.read_text())["checks"]}
-    assert rows["grading.window-evidence"]["note"] == (
-        "infinite grading group: no verdict; 5/6 grade pairs spanned "
-        "within the truncated basis")
-    assert main(["suite", str(scan), "--report", str(report)]) == 1
-    [row] = json.loads(report.read_text())["rows"]
-    assert row["error"] == "strong-grading decision requires finite G"
-
-
 def test_generate_check_round_trip(tmp_path):
     out = tmp_path / "gen.json"
     assert main(["generate", "twisted-group-algebra", "--n", "2", "--N", "2",
@@ -198,72 +179,55 @@ def test_generate_invalid_params_exit_2(tmp_path):
     assert main(["generate", "twisted-group-algebra", "--n", "2", "--N", "2",
                  "--sigma", "[[0,1],[0,0]]", "--omega", "[[0,0],[0,0]]",
                  "--q", "1", "--out", str(tmp_path / "x.json")]) == 2
-    assert main(["generate", "twisted-group-algebra", "--n", "0", "--N", "1",
-                 "--q", "1", "--out", str(tmp_path / "y.json")]) == 2
+    for builder in ("twisted-group-algebra", "b-symmetric"):
+        # grading groups are finite: --n 0 and a missing --n are refused
+        for n in (["--n", "0"], []):
+            assert main(["generate", builder, *n, "--N", "1", "--q", "1",
+                         "--out", str(tmp_path / "y.json")]) == 2
     assert main(["generate", "b-symmetric", "--n", "2", "--N", "1",
                  "--sigma", "not json", "--omega", "[[0]]", "--q", "1"]) == 2
 
 
-_CAP_TEXT = "error: commutation factor values may exceed the cap of 8192 bits\n"
+# q = 2 is no root of unity, so b(gen 0, gen 1) = 2^(10^6) has no power 1
+_TORSION_TEXT = ("factor descriptor: factor is not well-defined on torsion "
+                 "coordinate 0 (modulus 2): b(gen 0, gen 1)^2 != 1")
 
 
 def _no_large_powers(monkeypatch):
     pow_ = Scalar.__pow__
 
     def bounded(self, exponent):
-        assert abs(exponent) <= 1000, "a power was taken before the value cap"
+        assert abs(exponent) <= 1000, "a large power was taken before the refusal"
         return pow_(self, exponent)
 
     monkeypatch.setattr(Scalar, "__pow__", bounded)
 
 
-def _graded_unit_and_two_squares_zero(grades):
-    basis = [{"label": label, "grade": g} for label, g in zip("1xy", grades)]
-    products = [{"left": 0, "right": j, "result": [{"basis": j, "coeff": "1"}]}
-                for j in range(3)]
-    products += [{"left": j, "right": 0, "result": [{"basis": j, "coeff": "1"}]}
-                 for j in (1, 2)]
-    return {"basis": basis, "unit": {"0": "1"}, "products": products}
-
-
-@pytest.mark.parametrize("data", [
-    {"group": {"free_rank": 2},
-     "factor": {"sigma": [[0, 0], [0, 0]],
-                "omega": [[0, 10 ** 6], [-10 ** 6, 0]], "q": "2"}},
-    {"group": {"free_rank": 2},
-     "factor": {"sigma": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]], "q": "2"},
-     "algebra": _graded_unit_and_two_squares_zero(
-         [[0, 0], [10 ** 5, 0], [0, 10 ** 5]])},
-], ids=["omega-1e6", "grades-1e5"])
-def test_check_refuses_huge_factor_values_before_any_power(
-        tmp_path, monkeypatch, capsys, data):
+def test_check_refuses_a_factor_value_that_is_no_root_of_unity_before_any_power(
+        tmp_path, monkeypatch, capsys):
     scan = tmp_path / "descriptors"
     scan.mkdir()
     path = scan / "probe.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps({
+        "group": {"free_rank": 0, "torsion": [2, 2]},
+        "factor": {"sigma": [[0, 0], [0, 0]],
+                   "omega": [[0, 10 ** 6], [-10 ** 6, 0]], "q": "2"}}),
+        encoding="utf-8")
     _no_large_powers(monkeypatch)
-    assert main(["check", str(path)]) == 3
-    assert capsys.readouterr().err == _CAP_TEXT
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {_TORSION_TEXT}\n"
     report = tmp_path / "report.json"
     assert main(["suite", str(scan), "--report", str(report)]) == 1
     [row] = json.loads(report.read_text())["rows"]
-    assert row["error"] == _CAP_TEXT[len("error: "):-1]
+    assert row["error"] == f"{path}: {_TORSION_TEXT}"
 
 
-def test_generate_refuses_huge_factor_values_before_any_power(
-        tmp_path, monkeypatch, capsys):
+def test_generate_refuses_a_factor_value_that_is_no_root_of_unity_before_any_power(
+        monkeypatch, capsys):
     _no_large_powers(monkeypatch)
-    assert main(["generate", "b-symmetric", "--n", "0", "--N", "2",
-                 "--omega", "[[0,1000000],[-1000000,0]]", "--q", "2"]) == 3
-    assert capsys.readouterr().err == _CAP_TEXT
-    # b-symmetric reaches coordinate products of max_degree^2:
-    # 3 bits for q = 2 times 200 * max_degree^2 is 5400 at 3 and 9600 at 4
-    argv = ["generate", "b-symmetric", "--n", "0", "--N", "2",
-            "--omega", "[[0,100],[-100,0]]", "--q", "2",
-            "--out", str(tmp_path / "b.json")]
-    assert main(argv + ["--max-degree", "3"]) == 0
-    assert main(argv + ["--max-degree", "4"]) == 3
-    assert capsys.readouterr().err == _CAP_TEXT
+    assert main(["generate", "b-symmetric", "--n", "2", "--N", "2",
+                 "--omega", "[[0,1000000],[-1000000,0]]", "--q", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {_TORSION_TEXT}\n"
 
 
 _ZETA_CAP_TEXT = "error: factor.q: cyclotomic order exceeds the cap 512\n"
@@ -286,7 +250,7 @@ def test_check_and_suite_refuse_a_zeta_order_above_the_cap(
     scan.mkdir()
     path = scan / "probe.json"
     path.write_text(json.dumps({
-        "group": {"free_rank": 2},
+        "group": {"free_rank": 0, "torsion": [2, 2]},
         "factor": {"sigma": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]], "q": q}}),
         encoding="utf-8")
     _no_large_cyclotomic_orders(monkeypatch)
@@ -433,11 +397,12 @@ def test_group_order_cap_is_applied_before_validation(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", ["check", "suite"])
 def test_group_order_cap_bounds_the_generator_count(tmp_path, monkeypatch,
                                                     capsys, command):
-    # Z^400 would run the Hopf sample of 801 group-likes pairwise
+    # Z_2^400 would multiply out an order of 2^400 and run the Hopf
+    # sample of 801 group-likes pairwise
     scan = tmp_path / "descriptors"
     scan.mkdir()
-    path = scan / "free-rank-400.json"
-    path.write_text('{"group": {"free_rank": 400}}', encoding="utf-8")
+    path = scan / "z2-400.json"
+    path.write_text(json.dumps({"group": {"torsion": [2] * 400}}), encoding="utf-8")
 
     def refused(group):
         raise AssertionError("a check ran on a refused descriptor")
@@ -478,12 +443,12 @@ def test_generate_refuses_a_group_that_check_would_refuse(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, dim", [
-    (["b-symmetric", "--n", "0", "--N", "1", "--max-degree", "600"], 601),
+    (["b-symmetric", "--n", "2", "--N", "1", "--max-degree", "600"], 601),
     # the builder would enumerate 601^8 exponent tuples
-    (["b-symmetric", "--n", "0", "--N", "8", "--max-degree", "600"],
+    (["b-symmetric", "--n", "2", "--N", "8", "--max-degree", "600"],
      442206334804720596),
-    (["b-symmetric", "--n", "0", "--N", "2", "--max-degree", "22"], 276),
-], ids=["Z-600", "Z8-600", "Z2-22"])
+    (["b-symmetric", "--n", "2", "--N", "2", "--max-degree", "22"], 276),
+], ids=["Z_2-600", "Z_2^8-600", "Z_2^2-22"])
 def test_generate_refuses_an_algebra_above_the_dimension_cap(
         tmp_path, monkeypatch, capsys, argv, dim):
     def refused(*args, **kwargs):
@@ -577,10 +542,7 @@ _BIG = int("7" * 2200) * int("9" * 2200)
      "300000 group generators exceed the 8 allowed by the cap 256"),
     ({"torsion": [int("7" * 2200), int("9" * 2200)]},
      f"group order at least 2^{_BIG.bit_length() - 1} exceeds the cap 256"),
-    ({"free_rank": int("9" * 4300), "torsion": [2]},
-     f"at least 2^{int('9' * 4300).bit_length() - 1} group generators "
-     f"exceed the 8 allowed by the cap 256"),
-], ids=["15000-moduli", "300000-moduli", "2200-digit-moduli", "4300-digit-rank"])
+], ids=["15000-moduli", "300000-moduli", "2200-digit-moduli"])
 def test_huge_groups_are_refused_without_printing_huge_integers(
         tmp_path, monkeypatch, capsys, group, text):
     scan = tmp_path / "descriptors"
@@ -604,9 +566,33 @@ def test_huge_groups_are_refused_without_printing_huge_integers(
 
 @pytest.mark.parametrize("rank, code", [(2, 0), (3, 3)])
 def test_a_group_of_order_4_has_at_most_two_generators(tmp_path, rank, code):
-    path = tmp_path / "free.json"
-    path.write_text(json.dumps({"group": {"free_rank": rank}}), encoding="utf-8")
+    path = tmp_path / "z2-power.json"
+    path.write_text(json.dumps({"group": {"torsion": [2] * rank}}), encoding="utf-8")
     assert main(["check", str(path), "--max-group-order", "4"]) == code
+
+
+@pytest.mark.parametrize("free_rank", [1, 2, int("9" * 4300)],
+                         ids=["1", "2", "4300-digit"])
+def test_a_free_rank_is_refused_before_any_check(tmp_path, monkeypatch, capsys,
+                                                 free_rank):
+    # grading groups are finite: the field is named, its value not printed
+    scan = tmp_path / "descriptors"
+    scan.mkdir()
+    path = scan / "free.json"
+    path.write_text(json.dumps({"group": {"free_rank": free_rank, "torsion": [2]}}),
+                    encoding="utf-8")
+
+    def refused(group):
+        raise AssertionError("a check ran on a refused descriptor")
+
+    monkeypatch.setattr("qgraded.cli.check_hopf_axioms", refused)
+    text = f"{path}: free_rank must be 0: grading groups are finite"
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    report = tmp_path / "report.json"
+    assert main(["suite", str(scan), "--report", str(report)]) == 1
+    [row] = json.loads(report.read_text())["rows"]
+    assert row["error"] == text
 
 
 def test_suite_does_not_hide_an_internal_consistency_error(monkeypatch):

@@ -22,7 +22,7 @@ def sample_descriptor():
 
 
 def test_group_round_trip():
-    for g in (GradingGroup(0, (2, 4)), GradingGroup(2), GradingGroup(1, (3,))):
+    for g in (GradingGroup(0, (2, 4)), GradingGroup(0, ())):
         assert group_from_dict(group_to_dict(g)) == g
 
 
@@ -67,6 +67,8 @@ def test_algebra_without_factor():
     (lambda d: d.pop("group"), "missing 'group'"),
     (lambda d: d.update(extra=1), "unknown keys"),
     (lambda d: d["group"].update(free_rank=-1), "free_rank"),
+    (lambda d: d["group"].update(free_rank=1),
+     "^free_rank must be 0: grading groups are finite$"),
     (lambda d: d["factor"].update(q="zeta(0)"), "zeta order"),
     (lambda d: d["factor"].update(sigma=[[0, 1], [0, 0]]), "symmetric"),
     (lambda d: d["algebra"]["basis"][0].update(grade=[1]), "coordinates"),

@@ -15,7 +15,7 @@ def like(group, coords):
 
 
 def test_coproduct_of_group_like():
-    G = GradingGroup(2)
+    G = GradingGroup(0, (2, 2))
     g = G.element((1, 0))
     u = GroupAlgebraElement.group_like(g)
     assert u.coproduct() == GroupAlgebraElement(G, {(g, g): Scalar.one()})
@@ -181,7 +181,7 @@ _AT_ONE = ["hopf.counit-left", "hopf.counit-right", "hopf.antipode-left",
     (GradingGroup(0, (4, 4)), "coproduct", _coproduct_onto_the_identity,
      [("hopf.counit-left", "1*[(0,1)]"), ("hopf.antipode-left", "1*[(0,1)]"),
       ("hopf.antipode-right", "1*[(0,1)]")]),
-    (GradingGroup(1, (3,)), "coproduct", _coproduct_onto_the_identity,
+    (GradingGroup(0, (24, 3)), "coproduct", _coproduct_onto_the_identity,
      [("hopf.counit-left", "1*[(1,0)]"), ("hopf.antipode-left", "1*[(1,0)]"),
       ("hopf.antipode-right", "1*[(1,0)]")]),
     (GradingGroup(0, (4, 4)), "coproduct", lambda u: _COPRODUCT(u).scale(2),
@@ -192,12 +192,12 @@ _AT_ONE = ["hopf.counit-left", "hopf.counit-right", "hopf.antipode-left",
      [(c, "1*[(0,0)]") for c in _AT_ONE]
      + [("hopf.counit-multiplicative", "1*[(0,0)], 1*[(0,0)]"),
         ("hopf.unit-counit", "1")]),
-    (GradingGroup(1, (3,)), "counit", lambda u: _COUNIT(u) * 2,
+    (GradingGroup(0, (24, 3)), "counit", lambda u: _COUNIT(u) * 2,
      [(c, "1*[(0,0)]") for c in _AT_ONE]
      + [("hopf.counit-multiplicative", "1*[(0,0)], 1*[(0,0)]"),
         ("hopf.unit-counit", "1")]),
-], ids=["g-to-g-e-on-Z4xZ4", "g-to-g-e-on-ZxZ3", "twice-coproduct-on-Z4xZ4",
-        "twice-counit-on-Z4xZ4", "twice-counit-on-ZxZ3"])
+], ids=["g-to-g-e-on-Z4xZ4", "g-to-g-e-on-Z24xZ3", "twice-coproduct-on-Z4xZ4",
+        "twice-counit-on-Z4xZ4", "twice-counit-on-Z24xZ3"])
 def test_patched_element_maps_fail_the_laws_they_enter(monkeypatch, group, attr,
                                                        fake, failures):
     monkeypatch.setattr(GroupAlgebraElement, attr, fake)
@@ -215,16 +215,16 @@ def _is_like(coords):
 @pytest.mark.parametrize("group, bad, witness_off_the_proof_set", [
     (GradingGroup(0, (4, 4)), _is_like((2, 2)), True),
     (GradingGroup(0, (4, 4)), lambda u: len(u.terms) > 1, False),
-    (GradingGroup(1, (3,)), _is_like((2, 0)), False),
-    (GradingGroup(1, (3,)), _is_like((4, 0)), False),
-], ids=["Z_4xZ_4-at-(2,2)", "Z_4xZ_4-off-the-group-likes", "ZxZ_3-at-(2,0)",
-        "ZxZ_3-at-(4,0)"])
+    (GradingGroup(0, (24, 3)), _is_like((2, 0)), False),
+    (GradingGroup(0, (24, 3)), _is_like((4, 0)), False),
+], ids=["Z_4xZ_4-at-(2,2)", "Z_4xZ_4-off-the-group-likes", "Z_24xZ_3-at-(2,0)",
+        "Z_24xZ_3-at-(4,0)"])
 def test_a_map_wrong_off_the_proof_set_gets_the_full_loops_first_witness(
         monkeypatch, group, bad, witness_off_the_proof_set, attr, wrong):
     # the map is wrong only on elements that are neither the unit nor a
     # generator: one group-like, or the mix and its products (checked in
-    # the proof set); Z x Z_3 has a partial sample, so its full loop runs,
-    # and (4,0) is outside it, reached only as (2,0) + (2,0)
+    # the proof set); Z_24 x Z_3 (order 72) has a partial sample, so its
+    # full loop runs, and (4,0) is outside it, reached only as (2,0) + (2,0)
     original = getattr(GroupAlgebraElement, attr)
 
     def fake(u):
@@ -279,8 +279,8 @@ def test_hopf_checks_evaluate_each_map_once_per_sample_element(monkeypatch):
 
 
 @pytest.mark.parametrize("group", [GradingGroup(0, (4, 4)), GradingGroup(0, (3,) * 4),
-                                   GradingGroup(0, (2,) * 8), GradingGroup(1, (3,))],
-                         ids=["Z_4xZ_4", "Z_3^4", "Z_2^8", "ZxZ_3"])
+                                   GradingGroup(0, (2,) * 8), GradingGroup(0, (24, 3))],
+                         ids=["Z_4xZ_4", "Z_3^4", "Z_2^8", "Z_24xZ_3"])
 def test_default_sample_is_the_group_sample_plus_one_mix(group):
     likes = [GroupAlgebraElement.group_like(g) for g in group.sample()]
     assert default_sample(group)[:-1] == likes

@@ -4,7 +4,8 @@ the package defines is referenced somewhere in the package, every public
 function, class and method is referenced by the program (the package,
 the scripts or the benchmark), `__all__` is exactly what `__init__`
 imports, only the scalar module constructs a Scalar directly, only the
-group module numbers group elements, no product is built only to be
+group module numbers group elements, grading groups have one (finite)
+case, no product is built only to be
 accumulated, only the commutation module takes powers of
 commutation-factor values, the law checks enumerate no group, the
 order up to which they run on the whole group is written only in the
@@ -140,6 +141,17 @@ def test_only_the_group_module_numbers_group_elements():
                           and gen.iter.func.id == "enumerate"
                           for gen in node.generators)]
     assert numberings == []
+
+
+def test_grading_groups_have_one_case():
+    # every grading group is finite: only the group module and the
+    # descriptor format read free_rank (always 0), and no module asks
+    # is_finite, so no second group case creeps back in
+    reads = [f"{name}:{node.lineno}: {ref}" for name, tree in TREES.items()
+             for ref, node in _references(tree)
+             if ref == "is_finite"
+             or ref == "free_rank" and name not in ("groups.py", "descriptors.py")]
+    assert reads == []
 
 
 def test_no_product_is_built_only_to_be_accumulated():
