@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgraded.algebras import (GradedAlgebra,
+from qgraded.algebras import (GradedAlgebra, _grade_pair_spans,
                               build_b_symmetric_truncation,
                               b_symmetric_dim, build_group_algebra,
                               build_truncated_poly,
@@ -249,6 +249,22 @@ def test_strong_grading_adds_each_product_until_its_span_is_full(corpus, monkeyp
     for entry in corpus:
         check_strong_grading(entry.algebra)
     assert len(calls) == 1379
+
+
+def test_grade_pair_spans_decide_the_strong_verdict_on_the_corpus(corpus):
+    # every grade pair is spanned exactly on the strong algebras, and the
+    # first pair that is not is the reported one
+    for entry in corpus:
+        A = entry.algebra
+        short = [(g, h, target, span) for g, h, target, span in _grade_pair_spans(A)
+                 if span.rank < len(target)]
+        report = check_strong_grading(A)
+        assert report.strong == (not short) == entry.expect_strong, entry.name
+        if short:
+            g, h, target, span = short[0]
+            assert report.witness_pair == (g, h), entry.name
+            assert report.missing in target, entry.name
+            assert not span.contains({report.missing: Scalar.one()}), entry.name
 
 
 # -- builders ----------------------------------------------------------------

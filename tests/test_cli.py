@@ -230,6 +230,57 @@ def test_generate_refuses_a_factor_value_that_is_no_root_of_unity_before_any_pow
     assert capsys.readouterr().err == f"error: {_TORSION_TEXT}\n"
 
 
+def _graded_unit_and_two_squares_zero(grades):
+    basis = [{"label": label, "grade": g} for label, g in zip("1xy", grades)]
+    products = [{"left": 0, "right": j, "result": [{"basis": j, "coeff": "1"}]}
+                for j in range(3)]
+    products += [{"left": j, "right": 0, "result": [{"basis": j, "coeff": "1"}]}
+                 for j in (1, 2)]
+    return {"basis": basis, "unit": {"0": "1"}, "products": products}
+
+
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_grade_coordinates_out_of_range_are_reduced_before_any_power(
+        tmp_path, monkeypatch, command):
+    # on Z_2 x Z_2 the grades (10^5 + 1, 0) and (0, -10^5 - 1) are (1, 0)
+    # and (0, 1): the run takes no large power and reports as on those
+    reports = []
+    for name, big in [("reduced", 1), ("huge", 10 ** 5 + 1)]:
+        scan = tmp_path / name
+        scan.mkdir()
+        (scan / "probe.json").write_text(json.dumps({
+            "group": {"free_rank": 0, "torsion": [2, 2]},
+            "factor": {"sigma": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]],
+                       "q": "-1"},
+            "algebra": _graded_unit_and_two_squares_zero(
+                [[0, 0], [big, 0], [0, -big]])}), encoding="utf-8")
+        report = tmp_path / f"{name}.json"
+        argv = ["suite", str(scan)] if command == "suite" else [
+            "check", str(scan / "probe.json"), "--expect", "not-strong"]
+        with monkeypatch.context() as patch:
+            _no_large_powers(patch)
+            code = main(argv + ["--report", str(report)])
+        reports.append((code, json.loads(report.read_text())))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
+
+
+def test_check_decides_an_algebra_graded_by_the_trivial_group(tmp_path):
+    # no generators: the Hopf and cqt laws run on the identity alone
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({
+        "group": {"free_rank": 0, "torsion": []},
+        "factor": {"sigma": [], "omega": [], "q": "1"},
+        "algebra": _graded_unit_and_two_squares_zero([[], [], []])}),
+        encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["check", str(path), "--expect", "strong",
+                 "--report", str(report)]) == 0
+    rows = {r["id"]: r for r in json.loads(report.read_text())["checks"]}
+    assert rows["grading.strong"]["verdict"] is True
+    assert rows["galois.bijective"]["verdict"] is True
+
+
 _ZETA_CAP_TEXT = "error: factor.q: cyclotomic order exceeds the cap 512\n"
 
 

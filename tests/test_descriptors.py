@@ -69,6 +69,13 @@ def test_algebra_without_factor():
     (lambda d: d["group"].update(free_rank=-1), "free_rank"),
     (lambda d: d["group"].update(free_rank=1),
      "^free_rank must be 0: grading groups are finite$"),
+    # a JSON false, string or float equals 0 in Python but is no integer
+    (lambda d: d["group"].update(free_rank=False),
+     "^free_rank must be 0: grading groups are finite$"),
+    (lambda d: d["group"].update(free_rank="0"),
+     "^free_rank must be 0: grading groups are finite$"),
+    (lambda d: d["group"].update(free_rank=0.0),
+     "^free_rank must be 0: grading groups are finite$"),
     (lambda d: d["factor"].update(q="zeta(0)"), "zeta order"),
     (lambda d: d["factor"].update(sigma=[[0, 1], [0, 0]]), "symmetric"),
     (lambda d: d["algebra"]["basis"][0].update(grade=[1]), "coordinates"),

@@ -449,6 +449,23 @@ def test_beta_two_column_on_twisted_z2():
     assert _beta_column(twisted_z2(), 2, (1, 1, 1)) == {5: Scalar.one()}
 
 
+def test_an_algebra_graded_by_the_trivial_group_is_strong_and_galois():
+    # A^coH = A, so every T_n is A and every beta^n an isomorphism onto A
+    group = GradingGroup(0, ())
+    e = group.identity()
+    A = GradedAlgebra(group, [("1", e), ("x", e), ("x^2", e)],
+                      {(i, j): {i + j: Scalar.one()}
+                       for i in range(3) for j in range(3) if i + j < 3},
+                      {0: Scalar.one()})
+    report = check_equivalence_theorem(A)
+    assert report.strong.strong and report.galois.galois and report.agree
+    assert (report.galois.domain_dim, report.galois.rank) == (3, 3)
+    for n in (1, 2, 3):
+        beta = beta_n(A, n)
+        assert beta.domain_dim == beta.codomain_dim == 3
+        assert beta.is_bijective()
+
+
 def test_beta_n_checks_its_arguments_before_any_work(monkeypatch):
     A = build_truncated_poly(3)
 

@@ -13,6 +13,13 @@ def test_composition_in_z2():
     assert a + a == Z2.identity()
 
 
+def test_composition_in_a_rank_two_group_reduces_each_coordinate():
+    G = GradingGroup(0, (3, 4))
+    assert G.element((1, 0)) + G.element((0, 1)) == G.element((1, 1))
+    assert (G.element((2, 3)) + G.element((2, 3))).coords == (1, 2)
+    assert G.element((2, 3)) + G.element((1, 1)) == G.identity()
+
+
 def test_inverse_with_torsion_reduction():
     G = GradingGroup(0, (5, 3))
     assert -G.element((2, 1)) == G.element((-2, 2))
