@@ -22,7 +22,7 @@ from .errors import GroupMismatchError
 from .groups import GradingGroup, GroupElement
 from .linalg import Echelon, Vec, kernel_basis, vec_add_at, vec_add_scaled
 from .reports import CheckReport
-from .scalars import Scalar
+from .scalars import Scalar, product_memo
 
 
 class GradedAlgebra:
@@ -120,16 +120,8 @@ class GradedAlgebra:
 
         products = self.products
         # structure constants repeat a handful of values, so memoizing
-        # products by canonical form keeps the triple loop near-linear
-        mul_cache: dict[tuple, Scalar] = {}
-
-        def cached_mul(a: Scalar, b: Scalar) -> Scalar:
-            key = (a.order, a.nums, a.den, b.order, b.nums, b.den)
-            v = mul_cache.get(key)
-            if v is None:
-                v = a * b
-                mul_cache[key] = v
-            return v
+        # their products keeps the triple loop near-linear
+        mul = product_memo()
 
         def expand(vec: Vec, pair_of) -> Vec:
             out: Vec = {}
@@ -137,7 +129,7 @@ class GradedAlgebra:
                 table = products.get(pair_of(m))
                 if table:
                     for kk, x in table.items():
-                        vec_add_at(out, kk, cached_mul(c, x))
+                        vec_add_at(out, kk, mul(c, x))
             return out
 
         def nonassociative(ks):

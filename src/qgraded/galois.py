@@ -16,6 +16,7 @@ step kills every balanced relation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .algebras import GradedAlgebra, StrongGradingReport, \
@@ -23,7 +24,7 @@ from .algebras import GradedAlgebra, StrongGradingReport, \
 from .errors import CapExceededError, InternalConsistencyError
 from .linalg import LinearMap, Vec, rref, vec_add_at
 from .reports import combination_text
-from .scalars import Scalar
+from .scalars import Scalar, product_memo
 
 MAX_BETA_N = 4
 
@@ -224,7 +225,10 @@ def beta_n(algebra: GradedAlgebra, n: int,
     never projected onto its classes.  That is exact: the step out of
     T_(k-1) was checked to send each of its balanced relations to zero when
     it was built, so an ambient vector and its projection have one image.
-    Levels below n keep every ambient position, level n its classes.
+    Levels below n keep every ambient position, level n its classes.  A
+    level walks the class c of T_(k-1) outer and m inner, in ambient order,
+    reading grade(m)'s index and mm*m's terms from rows[mm][m]; each distinct
+    product of two stored values is formed once per call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -234,21 +238,26 @@ def beta_n(algebra: GradedAlgebra, n: int,
     chain = chain or RelativeChain(algebra)
     dim, nG = algebra.dim, algebra.group.order
 
-    product_coords, grade_pos = algebra.product_coords, chain.grade_pos
+    mul = product_memo()
+    rows = [[(chain.grade_pos[m], tuple(algebra.product_coords(mm, m).items()))
+             for m in range(dim)] for mm in range(dim)]
     images: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
     prev = range(dim)  # ambient position of each class of T_(k-1)
     for k in range(1, n + 1):
         space = chain.space(k)
-        prev_images, images = images, []
-        for amb in space.basis_ambient if k == n else range(space.ambient_dim):
-            c, m = divmod(amb, dim)
-            cc, mm = divmod(prev[c], dim)
-            g = grade_pos[m]
-            col: Vec = {}
-            for y, cy in product_coords(mm, m).items():
-                for p, x in prev_images[cc * dim + y].items():
-                    vec_add_at(col, p * nG + g, cy, x)
-            images.append(col)
+        kept = space.basis_ambient if k == n else range(space.ambient_dim)
+        prev_images, images, hi = images, [], 0
+        for c, a in enumerate(prev):
+            cc, mm = divmod(a, dim)
+            lo, hi = hi, bisect_left(kept, (c + 1) * dim, hi)
+            base, row, cdim = cc * dim, rows[mm], c * dim
+            for amb in kept[lo:hi]:
+                g, terms = row[amb - cdim]
+                col: Vec = {}
+                for y, cy in terms:
+                    for p, x in prev_images[base + y].items():
+                        vec_add_at(col, p * nG + g, mul(cy, x))
+                images.append(col)
         prev = space.basis_ambient
     return LinearMap(dim * nG ** n, images)
 

@@ -124,13 +124,6 @@ class GroupElement:
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)  # __add__ refuses a foreign group
 
-    def __mul__(self, k: int) -> "GroupElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        return GroupElement(self.group, tuple(k * c for c in self.coords))
-
-    __rmul__ = __mul__
-
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 

@@ -4,12 +4,15 @@ Vectors are dicts mapping column index to a nonzero Scalar.  Every
 accumulation into a sparse vector goes through `vec_add_at(dst, key, a, b)`,
 dst[key] += a*b (or += a without b), which works in place: it mutates only
 the dict it is given, and that dict must belong to the caller
-(`vec_add_scaled` likewise mutates and returns `dst`, never `src`).  It
-takes a product's factors, never the finished product, so an update to an
-existing entry is one `Scalar.add_product`: one normalisation and one new
-object whenever the fields allow; a caller negates a scale once per scaled
-vector, never once per entry.  The primitive takes any hashable key, so other modules use it for
-tuple- and group-keyed tensors too.
+(`vec_add_scaled` likewise mutates and returns `dst`, never `src`).  A
+caller passes a product's factors, so that an update to an existing entry
+is one `Scalar.add_product`: one normalisation and one new object whenever
+the fields allow.  The one exception is a loop whose factors repeat: it
+passes whole the products of a `scalars.product_memo` made for that loop,
+since a hit costs no multiplication and prev + product stores what
+add_product stores.  A caller negates a scale once per scaled vector, never
+once per entry.  The primitive takes any hashable key, so other modules use
+it for tuple- and group-keyed tensors too.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a

@@ -188,7 +188,9 @@ class Scalar:
             return NotImplemented
         da, db = self.den, other.den
         if self.order == other.order == 1:
-            return Scalar._make(1, [self.nums[0] * db + other.nums[0] * da], da * db)
+            num, den = self.nums[0] * db + other.nums[0] * da, da * db
+            g = math.gcd(num, den)
+            return Scalar(1, (num // g,), den // g)
         m, a, b = self._common(other)
         return Scalar._make(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
@@ -354,6 +356,21 @@ class Scalar:
 
 _ZERO = Scalar(1, (0,), 1)
 _ONE = Scalar(1, (1,), 1)
+
+
+def product_memo():
+    """A function (a, b) -> a * b that forms each product once, keyed by the
+    stored forms of a and b, never by value (zeta_8 * zeta_8 equals zeta_4 but
+    is stored at order 8); make one per loop and drop it with the loop."""
+    memo: dict[tuple, Scalar] = {}
+
+    def mul(a: Scalar, b: Scalar) -> Scalar:
+        key = (a.order, a.nums, a.den, b.order, b.nums, b.den)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = a * b
+        return value
+    return mul
 
 
 def _polymul(a, b) -> list[int]:

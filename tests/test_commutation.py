@@ -114,7 +114,8 @@ def test_generator_power_rule():
     b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], q)
     xi0, xi1 = G.generator(0), G.generator(1)
     for n in range(-3, 7):
-        assert b.evaluate(xi0, n * xi1) == b.generator_value(0, 1) ** n
+        n_xi1 = G.element(tuple(n * c for c in xi1.coords))
+        assert b.evaluate(xi0, n_xi1) == b.generator_value(0, 1) ** n
 
 
 @pytest.mark.parametrize("torsion,sigma,omega,q", [
@@ -255,7 +256,8 @@ def test_a_pairing_wrong_off_the_proof_set_gets_the_full_loops_first_witness(
     # partial sample, so its full loop runs without a proof
     b = make()
     evaluate = b.evaluate
-    off = {g * m for g in b.group.generators()}
+    off = {b.group.element(tuple(m * c for c in g.coords))
+           for g in b.group.generators()}
 
     def broken(x, y):
         value = evaluate(x, y)

@@ -1,8 +1,10 @@
 import copy
+import hashlib
 import importlib.util
 import itertools
 import json
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -732,6 +734,48 @@ def test_a_non_monomial_beta_n_is_still_eliminated(monkeypatch):
         bmap.is_bijective()
     monkeypatch.undo()
     assert bmap.is_bijective()
+
+
+def test_beta_n_forms_each_product_once_per_call(monkeypatch):
+    # the 69,888 level columns of beta^3 on a twisted Z_4 x Z_4 multiply a
+    # handful of distinct stored values; no product survives the call
+    A = _twisted_z4x4()
+    chain = RelativeChain(A)
+    beta_n(A, 3, chain=chain)  # builds and verifies T_1..T_3
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    beta_n(A, 3, chain=chain)
+    first = len(calls)
+    beta_n(A, 3, chain=chain)
+    assert 0 < first <= 48 and len(calls) == 2 * first
+
+
+# sha256 over the beta^1..beta^3 columns of standard_corpus() in insertion
+# order, each column as its length and then key, order, den, len(nums),
+# *nums per entry, little-endian int64; recorded before beta_n memoised
+# its products
+CORPUS_BETA_DIGEST = "aac7b767b44928936ca858d650a519029389548cd090c56f79b37ad7139e2f95"
+
+
+def test_beta_columns_keep_their_stored_forms_and_order(corpus):
+    words = []
+    for entry in corpus:
+        chain = RelativeChain(entry.algebra)
+        for n in (1, 2, 3):
+            for col in beta_n(entry.algebra, n, chain=chain).columns:
+                words.append(len(col))
+                for k, v in col.items():
+                    words += (k, v.order, v.den, len(v.nums), *v.nums)
+    packed = array("q", words)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    assert hashlib.sha256(packed.tobytes()).hexdigest() == CORPUS_BETA_DIGEST
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

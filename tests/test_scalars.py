@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from qgraded.errors import CapExceededError, ScalarParseError
 from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, _polymul, cyclotomic_polynomial,
-                             format_scalar, parse_scalar, root_of_unity)
+                             format_scalar, parse_scalar, product_memo,
+                             root_of_unity)
 
 DEGREES = {1: 1, 2: 1, 3: 2, 4: 2, 8: 4, 12: 4}
 
@@ -418,6 +419,24 @@ def test_the_fused_sum_is_the_two_step_sum(x, a, b):
     _assert_canonical(fused)
     assert _oracle(fused) == tuple(
         u + v for u, v in zip(_oracle(x), _oracle_mul(_oracle(a), _oracle(b))))
+
+
+def test_a_product_memo_returns_each_product_in_its_stored_form():
+    # zeta_8 * zeta_8 equals zeta_4 but is stored at order 8, and times
+    # zeta_3 lands at order 24 where zeta_4 * zeta_3 lands at order 12, so
+    # the two must never share a memo entry
+    z4, z8_squared = root_of_unity(4), root_of_unity(8) * root_of_unity(8)
+    assert z4 == z8_squared and (z4.order, z8_squared.order) == (4, 8)
+    z3 = root_of_unity(3)
+    pairs = [(Scalar.from_rational(Fraction(-2, 3)), Scalar.cyclotomic(5, [1, 2, 0, 3])),
+             (root_of_unity(4), root_of_unity(6)),
+             (z4, z3), (z8_squared, z3), (z3, z4), (z3, z8_squared),
+             (z4, Scalar.one()), (z8_squared, Scalar.one())]
+    mul = product_memo()
+    for a, b in pairs + pairs:
+        got, want = mul(a, b), a * b
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+    assert (mul(z8_squared, z3).order, mul(z4, z3).order) == (24, 12)
 
 
 def test_a_product_that_folds_to_a_rational_keeps_the_sum_in_its_field():
