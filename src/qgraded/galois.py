@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants, word_closure
 from .errors import CapExceededError, InternalConsistencyError
-from .linalg import LinearMap, Vec, rref, vec_add_at
+from .linalg import LinearMap, Vec, echelon, rref, vec_add_at
 from .reports import combination_text
 from .scalars import Scalar, product_memo
 
@@ -37,19 +37,19 @@ class QuotientSpace:
     In a relative tensor power T_k the ambient position c*dim + j stands
     for (class c of T_{k-1}) (x) (basis vector j of the algebra).  The
     basis is the set of ambient positions at non-pivot columns of the
-    fully reduced relation span; `project` rewrites any ambient vector in
-    terms of it.
+    relations' forward echelon (`_pivot_rows`), which the first `project`
+    replaces by the fully reduced rows: nothing else reduces a space.
     """
 
     def __init__(self, ambient_dim: int, relation_rows: list[Vec]):
         self.ambient_dim = ambient_dim
         self.relations = [r for r in relation_rows if r]
-        ech = rref(self.relations)
+        ech = echelon(self.relations)
         self.relation_rank = ech.rank
         self._pivot_rows = ech.pivot_rows
         self.basis_ambient = [i for i in range(ambient_dim)
                               if i not in self._pivot_rows]
-        self._qindex = {amb: q for q, amb in enumerate(self.basis_ambient)}
+        self._qindex: dict[int, int] | None = None  # set with the reduced rows
 
     @property
     def dim(self) -> int:
@@ -58,6 +58,9 @@ class QuotientSpace:
     def project(self, vec: Vec, offset: int = 0) -> Vec:
         """Class in quotient coordinates of the ambient vector with c at
         offset + a for each a: c of vec."""
+        if self._qindex is None:
+            self._pivot_rows = rref(self._pivot_rows.values()).pivot_rows
+            self._qindex = {amb: q for q, amb in enumerate(self.basis_ambient)}
         out: Vec = {}
         for a, c in vec.items():
             a += offset
@@ -124,8 +127,8 @@ class RelativeChain:
     def _verify_step(self, k: int, space: QuotientSpace):
         """Each balanced relation of T_k must map to zero under the step
         that applies the canonical map to the last two slots.  The step is
-        linear, so it is checked on the reduced relation rows that
-        `project` uses: they span the same space as the given relations.
+        linear, so it is checked on the rows of the forward echelon built
+        with the space: they span the same space as the given relations.
         A nonzero image would indicate a bug, not a property of the input."""
         dim, order = self.algebra.dim, self.algebra.group.order
         moved: dict[int, Vec] = {}  # ambient position -> its image under the step

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,10 +18,11 @@ class GradingGroup:
 
     free_rank: int
     torsion: tuple[int, ...] = ()
-    # (coords, coords) -> their sum, filled by GroupElement.__add__ on a
-    # miss: it holds the sums asked for, never an up-front |G|^2 table
-    _sums: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    # (coords, coords) -> their sum and coords -> their negation, filled by
+    # GroupElement.__add__ and __neg__ on a miss: they hold the results asked
+    # for, never an up-front |G|^2 table
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _negs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_rank != 0:
@@ -45,16 +47,16 @@ class GradingGroup:
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, coords)
 
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngens)
+    @functools.cached_property
+    def _units(self) -> tuple["GroupElement", ...]:  # identity, generators; built once
+        return tuple(GroupElement(self, tuple(int(j == i) for j in range(self.ngens)))
+                     for i in range(-1, self.ngens))
 
-    def generator(self, i: int) -> "GroupElement":
-        if not 0 <= i < self.ngens:
-            raise ValueError(f"generator index {i} out of range")
-        return self.element(tuple(int(j == i) for j in range(self.ngens)))
+    def identity(self) -> "GroupElement":
+        return self._units[0]
 
     def generators(self) -> list["GroupElement"]:
-        return [self.generator(i) for i in range(self.ngens)]
+        return list(self._units[1:])
 
     def elements(self) -> list["GroupElement"]:
         """All elements in lexicographic coordinate order."""
@@ -119,7 +121,10 @@ class GroupElement:
         return out
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-c for c in self.coords))
+        negs, coords = self.group._negs, self.coords
+        if coords not in negs:
+            negs[coords] = GroupElement(self.group, tuple(-c for c in coords))
+        return negs[coords]
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)  # __add__ refuses a foreign group

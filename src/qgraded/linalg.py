@@ -16,12 +16,12 @@ it for tuple- and group-keyed tensors too.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a
-single backward pass (`finalize`) upgrades it to fully reduced form when
-kernels or quotient projections are needed.  Pivots are the smallest
-columns, so every result is deterministic.  A map whose columns each hold
-at most one entry (a monomial map) is ranked without elimination: columns
-on one row are parallel and columns on different rows independent, so its
-rank is the number of distinct rows hit.
+single backward pass (`finalize`, through `rref`) upgrades it to the unique
+fully reduced form for a kernel or at a quotient's first projection.
+Pivots are the smallest columns, so every result is deterministic.  A map
+whose columns each hold at most one entry (a monomial map) is ranked
+without elimination: columns on one row are parallel and columns on
+different rows independent, so its rank is the number of distinct rows hit.
 """
 
 from __future__ import annotations

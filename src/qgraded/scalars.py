@@ -4,10 +4,12 @@ A scalar is an element of Q[x]/(Phi_n(x)), where Phi_n is the n-th
 cyclotomic polynomial, stored in the power basis of zeta_n as integer
 numerators over one common denominator: den > 0 and gcd(den, *nums) = 1.
 Order 1 means plain rational.  Phi_n is monic with integer coefficients,
-so reduction modulo Phi_n stays in the integers.  All arithmetic is exact;
-there is no floating-point fallback anywhere.  Operands of different orders
-are embedded into Q(zeta_lcm) first; results that turn out rational are
-brought back to order 1 so that the rational representation is unique.
+so reduction modulo Phi_n stays in the integers.  A product of two
+irrational values, in `*` or `add_product`, is one `_mulmod`, which folds
+its high terms with a per-order table.  All arithmetic is exact; there is
+no floating-point fallback.  Operands of different orders are embedded
+into Q(zeta_lcm) first; results that turn out rational are brought back
+to order 1 so that the rational representation is unique.
 """
 
 from __future__ import annotations
@@ -76,6 +78,31 @@ def _reduce_mod_phi(nums: list[int], n: int) -> list[int]:
     return nums
 
 
+@functools.lru_cache(maxsize=None)
+def _fold_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i is x^(deg + i) mod Phi_n for i < deg - 1, deg = deg Phi_n."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    return tuple(tuple(_reduce_mod_phi([0] * (deg + i) + [1], n)) for i in range(deg - 1))
+
+
+def _mulmod(u, v, n: int) -> list[int]:
+    """u * v mod Phi_n, reduced, for reduced numerator lists of Q(zeta_n), n > 1:
+    the schoolbook product, its term of degree deg + i folded by `_fold_table`[i]."""
+    deg = len(u)
+    out = [0] * (2 * deg - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    for i, row in enumerate(_fold_table(n), deg):
+        c = out[i]
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    del out[deg:]
+    return out
+
+
 class Scalar:
     """An exact element of Q(zeta_n); immutable.
 
@@ -96,12 +123,16 @@ class Scalar:
 
     @staticmethod
     def _make(order: int, nums: list[int], den: int) -> "Scalar":
-        """The one normaliser: reduce a fresh list modulo Phi_order, fold a
-        rational value to order 1 and divide out gcd(den, *nums), den > 0."""
+        """The one normaliser: reduce a fresh list modulo Phi_order, `_canon` it."""
         if order > 1 or len(nums) != 1:
             nums = _reduce_mod_phi(nums, order)
-            if not any(nums[1:]):
-                order, nums = 1, nums[:1]
+        return Scalar._canon(order, nums, den)
+
+    @staticmethod
+    def _canon(order: int, nums: list[int], den: int) -> "Scalar":
+        """`_make` on a reduced, padded list: a rational value to order 1, gcd 1, den > 0."""
+        if order > 1 and not any(nums[1:]):
+            order, nums = 1, nums[:1]
         g = math.gcd(den, *nums)
         if g != 1 or den < 0:
             g = -g if den < 0 else g
@@ -192,7 +223,7 @@ class Scalar:
             g = math.gcd(num, den)
             return Scalar(1, (num // g,), den // g)
         m, a, b = self._common(other)
-        return Scalar._make(m, [x * db + y * da for x, y in zip(a, b)], da * db)
+        return Scalar._canon(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
@@ -227,9 +258,9 @@ class Scalar:
             return Scalar(1, (num // g,), den // g)
         r, s = (self, other) if self.order == 1 else (other, self)
         if r.order == 1:  # a rational factor scales every numerator
-            return Scalar._make(s.order, [r.nums[0] * y for y in s.nums], den)
+            return Scalar._canon(s.order, [r.nums[0] * y for y in s.nums], den)
         m, a, b = self._common(other)
-        return Scalar._make(m, _polymul(a, b), den)
+        return Scalar._canon(m, _mulmod(a, b, m), den)
 
     __rmul__ = __mul__
 
@@ -258,11 +289,12 @@ class Scalar:
             c = r.nums[0] * self.den
             out = [c * y for y in (s.nums if s.order == n else s._lift(n))]
         else:
-            u, v = (f.nums if f.order == n else f._lift(n) for f in (a, b))
-            out = _polymul([self.den * y for y in u], v)
+            u = a.nums if a.order == n else a._lift(n)
+            out = _mulmod([self.den * y for y in u],
+                          b.nums if b.order == n else b._lift(n), n)
         for i, x in enumerate(self.nums):
             out[i] += x * scale
-        return Scalar._make(n, out, den)
+        return Scalar._canon(n, out, den)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -371,16 +403,6 @@ def product_memo():
             value = memo[key] = a * b
         return value
     return mul
-
-
-def _polymul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _shift_sub(c: int, p: list[int], lead: int, q: list[int], j: int) -> list[int]:

@@ -125,7 +125,7 @@ def test_criterion_5_pauli_exclusion():
             for i in range(N):
                 if b.generator_value(i, i) == -1:
                     x = {1 + i: Scalar.one()}
-                    assert A.grade(1 + i) == A.group.generator(i)
+                    assert A.grade(1 + i) == A.group.generators()[i]
                     assert A.multiply(x, x) == {}, (N, i, max_degree)
                     cases += 1
     assert cases > 0

@@ -112,7 +112,7 @@ def test_generator_power_rule():
     G = GradingGroup(0, (5, 5))
     q = root_of_unity(5)
     b = standard_factor(G, [[0, 0], [0, 0]], [[0, 1], [-1, 0]], q)
-    xi0, xi1 = G.generator(0), G.generator(1)
+    xi0, xi1 = G.generators()
     for n in range(-3, 7):
         n_xi1 = G.element(tuple(n * c for c in xi1.coords))
         assert b.evaluate(xi0, n_xi1) == b.generator_value(0, 1) ** n

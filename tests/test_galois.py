@@ -20,6 +20,7 @@ from qgraded.corpus import (_quotient_graded_group_algebra,
                             deleted_product_fixture)
 from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import CapExceededError, InternalConsistencyError
+from qgraded import galois
 from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
                             canonical_map, check_equivalence_theorem,
                             is_galois)
@@ -237,7 +238,9 @@ def test_balanced_law_across_small_corpus_entries(corpus):
 
 def _assert_generator_rows_match_basis_rows(A, kmax):
     # oracle: one row per basis vector of the subalgebra; the rows span the
-    # same space, so the fully reduced echelon must be the same
+    # same space, so the fully reduced echelon must be the same.  A space
+    # holds its reduced rows from its first projection on, so both sides
+    # project every ambient unit vector first
     chain = RelativeChain(A)
     minus_one = Scalar.from_rational(-1)
     for k in range(1, kmax + 1):
@@ -247,7 +250,11 @@ def _assert_generator_rows_match_basis_rows(A, kmax):
             for left, right in _balanced_pairs(chain, k)])
         assert space.relation_rank == oracle.relation_rank, (A.name, k)
         assert space.basis_ambient == oracle.basis_ambient, (A.name, k)
+        units = [{a: Scalar.one()} for a in range(space.ambient_dim)]
+        assert [space.project(u) for u in units] == \
+            [oracle.project(u) for u in units], (A.name, k)
         assert space._pivot_rows == oracle._pivot_rows, (A.name, k)
+        assert space._pivot_rows == rref(oracle.relations).pivot_rows
     return chain
 
 
@@ -677,6 +684,53 @@ def test_each_step_is_verified_once_per_chain(monkeypatch):
     beta_n(A, 2, chain=chain)
     beta_n(A, 2, chain=chain)
     assert steps == [1, 2]
+
+
+def _stored(vec):
+    return {k: (x.order, x.nums, x.den) for k, x in vec.items()}
+
+
+@pytest.mark.parametrize("make", [_quotient_graded_in_a_cyclotomic_basis,
+                                  _kz6_over_z2_in_a_dense_basis,
+                                  _truncated_poly_over_z2,
+                                  lambda: _quotient_graded_group_algebra(6, 3)],
+                         ids=["cyclotomic-basis", "kZ6-dense-basis",
+                              "truncated-poly", "kZ6-over-Z3"])
+def test_a_space_is_reduced_only_when_something_projects_onto_it(
+        make, monkeypatch):
+    # beta^2 projects onto T_1 to build T_2's relation rows and to check
+    # step 2; nothing projects onto T_2, and is_galois onto no space
+    A = make()
+    calls = []  # the pivot columns of each echelon galois.rref returns
+    reduce_rows = galois.rref
+
+    def counting(rows):
+        ech = reduce_rows(rows)
+        calls.append(sorted(ech.pivot_rows))
+        return ech
+
+    monkeypatch.setattr(galois, "rref", counting)
+    is_galois(A, RelativeChain(A))
+    assert calls == []
+    chain = RelativeChain(A)
+    beta_n(A, 2, chain=chain)
+    t1, t2 = chain.space(1), chain.space(2)
+    assert calls == [sorted(set(range(t1.ambient_dim)) - set(t1.basis_ambient))]
+    # T_2 holds its forward echelon; a later projection reduces it to the
+    # rows, basis and classes of a space reduced from its given rows at once
+    eager = QuotientSpace(t2.ambient_dim, t2.relations)
+    eager._pivot_rows = rref(eager.relations).pivot_rows
+    eager._qindex = {amb: q for q, amb in enumerate(eager.basis_ambient)}
+    samples = [{a: Scalar.one()} for a in range(t2.ambient_dim)] + [
+        {a: root_of_unity(3), a + 1: Scalar.from_rational(-2), a // 2: root_of_unity(4)}
+        for a in range(t2.ambient_dim - 1)]
+    assert [_stored(t2.project(v)) for v in samples] == \
+        [_stored(eager.project(v)) for v in samples]
+    assert len(calls) == 2
+    assert t2.basis_ambient == eager.basis_ambient
+    assert {p: _stored(r) for p, r in t2._pivot_rows.items()} == \
+        {p: _stored(r) for p, r in eager._pivot_rows.items()}
+    assert list(t2._pivot_rows) == list(eager._pivot_rows)
 
 
 @pytest.mark.parametrize("make,filename,relation_rank", [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgraded.errors import GroupMismatchError
-from qgraded.groups import GradingGroup
+from qgraded.groups import GradingGroup, GroupElement
 
 
 def test_composition_in_z2():
@@ -197,3 +197,25 @@ def test_a_sum_in_a_huge_cyclic_group_takes_constant_memory():
         tracemalloc.stop()
     assert total.coords == (123456788,)
     assert peak < 64 * 1024
+
+
+def test_negations_the_identity_and_the_generators_are_built_once_per_group(monkeypatch):
+    G = GradingGroup(0, (4, 3))
+    elements = G.elements()
+    built = []
+    init = GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self.coords)
+        init(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting)
+    for _ in range(2):
+        assert G.identity().coords == (0, 0)
+        assert [g.coords for g in G.generators()] == [(1, 0), (0, 1)]
+        assert G.generators()[0] is G.generators()[0]
+        assert [(-g).coords for g in elements] == [
+            _reduced(G, [-a for a in g.coords]) for g in elements]
+        assert len(built) == 1 + 2 + len(elements)
+    G.generators().append(G.identity())  # each call returns its own list
+    assert [g.coords for g in G.generators()] == [(1, 0), (0, 1)]

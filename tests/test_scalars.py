@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgraded.errors import CapExceededError, ScalarParseError
-from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, _polymul, cyclotomic_polynomial,
+from qgraded.scalars import (MAX_ZETA_ORDER, Scalar, cyclotomic_polynomial,
                              format_scalar, parse_scalar, product_memo,
                              root_of_unity)
 
@@ -349,10 +349,22 @@ def test_cross_order_equality_and_hash_agree_with_oracle(embed, a, b, m):
 # -- multiplication fast paths against the general path ----------------------
 #
 # A product with the rational 1 returns the other operand and a product of
-# two rationals is normalised inline; both must give the exact stored form
-# of the general path: lift to Q(zeta_lcm), multiply polynomials, normalise.
+# two rationals is normalised inline, and any other product folds its high
+# terms with a per-order table; each must give the exact stored form of the
+# general path: lift to Q(zeta_lcm), multiply polynomials, reduce modulo
+# Phi_lcm, normalise.  Orders 5, 8 and 12 have degree 4, so the table folds
+# more than one high term.
 
-FAST_PATH_ORDERS = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+FAST_PATH_ORDERS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 12: 4}
+
+
+def _polymul(a, b) -> list[int]:
+    # the schoolbook product, unreduced: the reference for Scalar.__mul__
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _general_product(x, y):
@@ -361,8 +373,8 @@ def _general_product(x, y):
 
 
 @st.composite
-def fast_path_operands(draw):
-    n = draw(st.sampled_from(sorted(FAST_PATH_ORDERS)))
+def fast_path_operands(draw, orders=tuple(FAST_PATH_ORDERS)):
+    n = draw(st.sampled_from(sorted(orders)))
     return draw(st.one_of(
         st.sampled_from([Scalar.one(), Scalar.from_rational(-1)]),
         small_fractions.map(Scalar.from_rational),
@@ -408,7 +420,9 @@ def test_a_product_of_two_rationals_is_reduced_by_one_gcd():
 # x.add_product(a, b) normalises x + a*b once; it must store exactly what
 # the two-step sum stores, including the field order of the result.
 
-mixed_operands = st.one_of(canonical_inputs(), fast_path_operands())
+# the oracle computes in Q(zeta_24), so orders that do not divide 24 stay out
+mixed_operands = st.one_of(canonical_inputs(), fast_path_operands(
+    [n for n in FAST_PATH_ORDERS if 24 % n == 0]))
 
 
 @given(mixed_operands, mixed_operands, mixed_operands)
