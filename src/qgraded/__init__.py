@@ -14,7 +14,7 @@ from .errors import (CapExceededError, DescriptorError, GroupMismatchError,
 from .galois import (EquivalenceReport, GaloisReport, QuotientSpace,
                      RelativeChain, beta_n, canonical_map,
                      check_equivalence_theorem, is_galois)
-from .group_hopf import GroupAlgebraElement, check_hopf_axioms
+from .group_hopf import check_hopf_axioms
 from .groups import GradingGroup, GroupElement
 from .linalg import Echelon, LinearMap
 from .scalars import Scalar, format_scalar, parse_scalar, root_of_unity
@@ -22,7 +22,7 @@ from .scalars import Scalar, format_scalar, parse_scalar, root_of_unity
 __all__ = [
     "CapExceededError", "CommutationFactor", "DescriptorError", "Echelon",
     "EquivalenceReport", "GaloisReport", "GradedAlgebra", "GradingGroup",
-    "GroupAlgebraElement", "GroupElement", "GroupMismatchError",
+    "GroupElement", "GroupMismatchError",
     "InternalConsistencyError", "LinearMap", "QCReport",
     "QgradedError", "QuotientSpace", "RelativeChain", "Scalar",
     "ScalarParseError", "StrongGradingReport", "beta_n",

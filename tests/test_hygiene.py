@@ -9,7 +9,8 @@ case, no product is built only to be
 accumulated, only the commutation module takes powers of
 commutation-factor values, the law checks enumerate no group, the
 order up to which they run on the whole group is written only in the
-group module and the algebra side does not import the Hopf module."""
+group module, the algebra side does not import the Hopf module and only
+scalars and group elements define arithmetic operators."""
 
 import ast
 import re
@@ -216,3 +217,14 @@ def test_the_whole_sample_bound_is_written_only_in_the_group_module():
                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                 if re.search(r"\border\b\D{0,12}\b64\b", line)]
     assert mentions == []
+
+
+def test_only_scalars_and_group_elements_define_arithmetic_operators():
+    # vectors and tensors are coordinate dicts combined by vec_add_at; an
+    # operator on a container type is a second copy of that accumulation
+    dunders = {"__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+               "__truediv__", "__pow__"}
+    defined = [f"{name}:{node.lineno}: {node.name}" for name, tree in TREES.items()
+               if name not in ("scalars.py", "groups.py") for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in dunders]
+    assert defined == []
