@@ -7,8 +7,14 @@ by the balanced relations, written only for a set of unital-algebra
 generators of the subalgebra (they span the same relation space: a
 relation for x1 and one for x2 give the one for x1*x2), iterated powers
 are built as quotients of quotients, and bijectivity of the canonical
-map and of its iterates is decided by exact rank.  beta^n has the closed
-form a_0 (x) ... (x) a_n -> a_0...a_n (x) |a_1...a_n| (x) ... (x) |a_n|;
+map and of its iterates is decided by exact rank.  The relations keep
+every slot's grade, so T_k is the direct sum of the summands
+T_(k-1)[b] (x) A_h, b a block of T_(k-1)'s classes with one slot-grade
+tuple and h a grade; a summand's rows in local positions are fixed by the
+stored forms of the generators' local matrices on T_(k-1)[b] and by h,
+and a chain eliminates each such key once, keeping the rows only as long
+as the chain lives.  beta^n has the closed form
+a_0 (x) ... (x) a_n -> a_0...a_n (x) |a_1...a_n| (x) ... (x) |a_n|;
 it is assembled level by level from the previous level's images of
 ambient (unprojected) positions, which is exact because each verified
 step kills every balanced relation.
@@ -18,11 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebras import GradedAlgebra, StrongGradingReport, \
     check_strong_grading, coinvariants, word_closure
 from .errors import CapExceededError, InternalConsistencyError
-from .linalg import LinearMap, Vec, echelon, rref, vec_add_at
+from .linalg import Echelon, LinearMap, Vec, rref, vec_add_at
 from .reports import combination_text
 from .scalars import Scalar, product_memo
 
@@ -39,17 +46,31 @@ class QuotientSpace:
     basis is the set of ambient positions at non-pivot columns of the
     relations' forward echelon (`_pivot_rows`), which the first `project`
     replaces by the fully reduced rows: nothing else reduces a space.
+
+    A `RelativeChain` passes a `SummandEchelon` instead of rows: T_k is
+    the direct sum of its summands T_(k-1)[b] (x) A_h, whose forward rows
+    the chain has already placed in whole-space order; their relation rows
+    are built only when `relations` is read.
     """
 
-    def __init__(self, ambient_dim: int, relation_rows: list[Vec]):
+    def __init__(self, ambient_dim: int, relation_rows: list[Vec] | SummandEchelon):
         self.ambient_dim = ambient_dim
-        self.relations = [r for r in relation_rows if r]
-        ech = echelon(self.relations)
-        self.relation_rank = ech.rank
-        self._pivot_rows = ech.pivot_rows
+        if isinstance(relation_rows, SummandEchelon):
+            self._relations = relation_rows
+            self._pivot_rows = relation_rows.pivot_rows
+        else:
+            self._relations = [r for r in relation_rows if r]
+            self._pivot_rows = {p: row for _, p, row in _forward_rows(self._relations)}
+        self.relation_rank = len(self._pivot_rows)
         self.basis_ambient = [i for i in range(ambient_dim)
                               if i not in self._pivot_rows]
         self._qindex: dict[int, int] | None = None  # set with the reduced rows
+
+    @property
+    def relations(self) -> list[Vec]:
+        if isinstance(self._relations, SummandEchelon):
+            self._relations = [r for r in self._relations.relation_rows() if r]
+        return self._relations
 
     @property
     def dim(self) -> int:
@@ -75,6 +96,58 @@ class QuotientSpace:
         return out
 
 
+def _forward_rows(rows: list[Vec]) -> list[tuple[int, int, Vec]]:
+    """The forward echelon of rows as (index of the row that made the
+    pivot, pivot, pivot row), in insertion order."""
+    ech, out = Echelon(), []
+    for i, row in enumerate(rows):
+        if ech.add(row):
+            pivot = next(reversed(ech.pivot_rows))
+            out.append((i, pivot, ech.pivot_rows[pivot]))
+    return out
+
+
+def _summand_rows(action, products) -> list[Vec]:
+    """The balanced relation rows of one summand T_(k-1)[b] (x) A_h in
+    local positions ci*|h| + yi.  action[xi][ci] lists (ti, -coeff) for
+    class b[ci] times generator xi, products[xi][yi] lists (mi, coeff) for
+    generator xi times h[yi], all in local indices; row (ci*ngens + xi)*|h|
+    + yi is b[ci] (x) x*y - b[ci]*x (x) y."""
+    nh = len(products[0])
+    rows: list[Vec] = []
+    for ci in range(len(action[0])):
+        for act, prod in zip(action, products):
+            minus_cx = [(t * nh, coeff) for t, coeff in act[ci]]
+            for yi, xy in enumerate(prod):
+                row: Vec = {t + yi: coeff for t, coeff in minus_cx}
+                for m, coeff in xy:
+                    vec_add_at(row, ci * nh + m, coeff)
+                rows.append(row)
+    return rows
+
+
+class SummandEchelon:
+    """The balanced relations of T_k by summands: `pivot_rows` is their
+    forward echelon in ambient positions and whole-space insertion order;
+    each summand is (action, products, row numbers, positions), with the
+    whole-space number of each local row and the ambient position of each
+    local position."""
+
+    def __init__(self, pivot_rows: dict[int, Vec], summands: list[tuple]):
+        self.pivot_rows = pivot_rows
+        self._summands = summands
+
+    def relation_rows(self) -> list[Vec]:
+        """The rows of every summand in ambient positions and whole-space
+        order: class c of T_(k-1) outer, then generator, then y."""
+        numbered = []
+        for action, products, numbers, positions in self._summands:
+            for r, row in enumerate(_summand_rows(action, products)):
+                numbered.append((numbers[r], {positions[a]: v for a, v in row.items()}))
+        numbered.sort(key=itemgetter(0))
+        return [row for _, row in numbered]
+
+
 class RelativeChain:
     """Iterated relative tensor powers T_k of an algebra over its
     identity-grade subalgebra, with the right multiplication action.
@@ -84,6 +157,16 @@ class RelativeChain:
     generators of the subalgebra, which `word_closure` picks from its
     basis vectors.  Spaces are built on demand and cached;
     grade_pos[i] is the `GradingGroup.index` of grade(i).
+
+    The relations keep every slot's grade, so T_k's ambient space is the
+    direct sum of the summands T_(k-1)[b] (x) A_h: b runs over the blocks
+    of T_(k-1)'s classes with one slot-grade tuple, h over the grades.  A
+    summand's rows in local positions depend only on the local matrices of
+    the generators acting on T_(k-1)[b] and on h, so `_eliminated` maps
+    that key, with the matrices in stored forms (never values), to the
+    summand's forward echelon rows: each key is eliminated once per chain
+    and its rows are placed at every summand with that key, in T_1..T_n
+    alike.  No block is formed when the subalgebra needs no generator.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -100,29 +183,70 @@ class RelativeChain:
             raise InternalConsistencyError(
                 "generators of the identity-grade component do not span it")
         self._spaces: dict[int, QuotientSpace] = {}
+        # (generator matrices in stored forms, h) -> [(local row, pivot, row)]
+        self._eliminated: dict[tuple, list[tuple[int, int, Vec]]] = {}
 
     def space(self, k: int) -> QuotientSpace:
         if k < 1:
             raise ValueError("tensor power index must be >= 1")
         if k not in self._spaces:
-            A = self.algebra
-            dim = A.dim
-            prev = dim if k == 1 else self.space(k - 1).dim
-            rows: list[Vec] = []
-            for c in range(prev):
-                for x in self.generators:
-                    # -(c*x), keyed by the ambient offset of each class t
-                    minus_cx = {t * dim: -coeff
-                                for t, coeff in self.right_action(k - 1, c, x).items()}
-                    for y in range(dim):
-                        row: Vec = {t + y: coeff for t, coeff in minus_cx.items()}
-                        for m, coeff in A.product_coords(x, y).items():
-                            vec_add_at(row, c * dim + m, coeff)
-                        rows.append(row)
-            space = QuotientSpace(prev * dim, rows)
+            prev = self.algebra.dim if k == 1 else self.space(k - 1).dim
+            space = QuotientSpace(prev * self.algebra.dim,
+                                  self._summand_echelon(k) if self.generators else [])
             self._verify_step(k, space)
             self._spaces[k] = space
         return self._spaces[k]
+
+    def _slots(self, k: int) -> list[tuple[int, ...]]:
+        """The slot-grade tuple of each class of T_k."""
+        if k == 0:
+            return [(g,) for g in self.grade_pos]
+        prev, dim = self._slots(k - 1), self.algebra.dim
+        return [prev[a // dim] + (self.grade_pos[a % dim],)
+                for a in self.space(k).basis_ambient]
+
+    def _summand_echelon(self, k: int) -> SummandEchelon:
+        """T_k's relations by summands, each key eliminated at most once
+        per chain and its rows placed at every summand with that key."""
+        A = self.algebra
+        dim, gens = A.dim, self.generators
+        ngens = len(gens)
+        blocks: dict[tuple, list[int]] = {}
+        for c, slot in enumerate(self._slots(k - 1)):
+            blocks.setdefault(slot, []).append(c)
+        comps: dict[int, list[int]] = {}
+        for y, h in enumerate(self.grade_pos):
+            comps.setdefault(h, []).append(y)
+        # class of T_(k-1) or basis vector -> its index in its block or component
+        cloc = {c: i for members in blocks.values() for i, c in enumerate(members)}
+        yloc = {y: i for comp in comps.values() for i, y in enumerate(comp)}
+        # products[h][xi][yi]: generator xi times the basis vector comps[h][yi]
+        products = {h: [[tuple((yloc[m], coeff) for m, coeff in
+                               A.product_coords(x, y).items()) for y in comp]
+                         for x in gens] for h, comp in comps.items()}
+        placed, summands = [], []
+        for members in blocks.values():
+            # action[xi][ci]: -(class members[ci] times generator xi), local
+            action = [[tuple((cloc[t], -coeff) for t, coeff in
+                             self.right_action(k - 1, c, x).items())
+                       for c in members] for x in gens]
+            # sorted, since a row's stored values never depend on its entry order
+            matrices = tuple(tuple(sorted((t, s.order, s.nums, s.den) for t, s in entries))
+                             for act in action for entries in act)
+            for h, comp in comps.items():
+                entry = self._eliminated.get((matrices, h))
+                if entry is None:
+                    entry = self._eliminated[matrices, h] = \
+                        _forward_rows(_summand_rows(action, products[h]))
+                positions = [c * dim + y for c in members for y in comp]
+                numbers = [(c * ngens + xi) * dim + y for c in members
+                           for xi in range(ngens) for y in comp]
+                placed += [(numbers[r], positions[p],
+                            {positions[a]: v for a, v in row.items()})
+                           for r, p, row in entry]
+                summands.append((action, products[h], numbers, positions))
+        placed.sort(key=itemgetter(0))
+        return SummandEchelon({p: row for _, p, row in placed}, summands)
 
     def _verify_step(self, k: int, space: QuotientSpace):
         """Each balanced relation of T_k must map to zero under the step
@@ -188,9 +312,13 @@ def is_galois(algebra: GradedAlgebra,
     On failure the report carries a kernel vector of minimal support keyed
     by the (i, j) of its classes i (x) j, or the (i, g) of a codomain basis
     vector i (x) g outside the image, decoded from positions as in `beta_n`.
+    A monomial bijective beta is decided by its row count; any other beta's
+    columns are eliminated once, and the missing pivots give the cokernel.
     """
     chain = chain or RelativeChain(algebra)
     beta = beta_n(algebra, 1, chain=chain)
+    if beta.is_monomial() and beta.is_bijective():
+        return GaloisReport(True, beta.domain_dim, beta.codomain_dim, beta.domain_dim)
     image = beta.image_echelon()
     r = image.rank
     if r == beta.domain_dim == beta.codomain_dim:

@@ -170,10 +170,14 @@ class LinearMap:
                 out[i][j] = c
         return out
 
+    def is_monomial(self) -> bool:
+        """Whether every column holds at most one entry."""
+        return max(map(len, self.columns), default=0) <= 1
+
     def rank(self) -> int:
-        """A map with at most one entry per column has rank the number of
-        distinct rows its columns hit; any other is eliminated."""
-        if max(map(len, self.columns), default=0) > 1:
+        """A monomial map has rank the number of distinct rows its columns
+        hit; any other is eliminated."""
+        if not self.is_monomial():
             return self.image_echelon().rank
         return len(set().union(*self.columns))
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,11 @@ from qgraded.corpus import (_quotient_graded_group_algebra,
 from qgraded.descriptors import Descriptor, dump_descriptor
 from qgraded.errors import CapExceededError, InternalConsistencyError
 from qgraded import galois
-from qgraded.galois import (QuotientSpace, RelativeChain, beta_n,
-                            canonical_map, check_equivalence_theorem,
+from qgraded.galois import (GaloisReport, QuotientSpace, RelativeChain,
+                            beta_n, canonical_map, check_equivalence_theorem,
                             is_galois)
 from qgraded.groups import GradingGroup
-from qgraded.linalg import Echelon, rref, vec_add_scaled
+from qgraded.linalg import Echelon, echelon, rref, vec_add_at, vec_add_scaled
 from qgraded.scalars import Scalar, root_of_unity
 
 
@@ -100,9 +101,9 @@ def test_multiply_is_the_bilinear_expansion_of_basis_products():
     assert A.multiply(u, v) == expected
 
 
-def _truncated_poly_over_z2():
-    # k[x]/(x^4) graded by Z_2 with deg x = 1: two 2-dim components
-    P = build_truncated_poly(4)
+def _truncated_poly_over_z2(m=4):
+    # k[x]/(x^m) graded by Z_2 with deg x = 1: two m/2-dim components
+    P = build_truncated_poly(m)
     G = GradingGroup(0, (2,))
     basis = [(label, G.element((i % 2,))) for i, (label, _) in enumerate(P.basis)]
     return GradedAlgebra(G, basis, P.products, P.unit)
@@ -189,25 +190,35 @@ def test_a_quotient_keeps_its_relation_rows_unchanged_and_unshared():
                                   _kz6_over_z2_on_a_non_power_basis,
                                   _truncated_poly_over_z2])
 def test_relation_rows_survive_elimination_and_the_step_check(make, monkeypatch):
-    # _verify_step reads `relations` after rref has eliminated them, and
-    # beta^n and the witnesses run after that: no step may write into them
-    given = []
-    init = QuotientSpace.__init__
+    # a summand's rows are eliminated once, its echelon rows stay in the
+    # chain and are placed, reduced by the first projection and read by the
+    # step check and beta^n: no step may write into the rows, the kept
+    # echelon rows or `relations`, nor store one of them as a pivot row
+    calls = []
+    forward = galois._forward_rows
 
-    def recording(self, ambient_dim, relation_rows):
-        given.append((self, copy.deepcopy(relation_rows),
-                      {id(r) for r in relation_rows}))
-        init(self, ambient_dim, relation_rows)
+    def recording(rows):
+        entry = forward(rows)
+        calls.append((rows, copy.deepcopy(rows), entry, copy.deepcopy(entry)))
+        return entry
 
-    monkeypatch.setattr(QuotientSpace, "__init__", recording)
+    monkeypatch.setattr(galois, "_forward_rows", recording)
     A = make()
     chain = RelativeChain(A)
     is_galois(A, chain)
+    relations = chain.space(1).relations
+    read = copy.deepcopy(relations)
     beta_n(A, 2, chain=chain)
-    assert [len(rows) > 0 for _, rows, _ in given] == [True, True]
-    for space, rows, ids in given:
-        assert space.relations == [r for r in rows if r]
-        assert not ids & {id(p) for p in space._pivot_rows.values()}
+    assert calls and all(chain.space(k).relations for k in (1, 2))
+    assert relations == read
+    shared = {id(r) for rows, _, entry, _ in calls
+              for r in [*rows, *(row for _, _, row in entry)]}
+    for k in (1, 2):
+        space = chain.space(k)
+        assert not shared & {id(p) for p in space._pivot_rows.values()}
+        assert not shared & {id(r) for r in space.relations}
+    for rows, rows_before, entry, entry_before in calls:
+        assert rows == rows_before and entry == entry_before
 
 
 def _balanced_pairs(chain, k):
@@ -533,6 +544,36 @@ def test_is_galois_eliminates_beta_once(monkeypatch):
     assert len(adds) == 32
 
 
+def test_is_galois_decides_a_monomial_beta_by_its_rows(monkeypatch):
+    # a twisted algebra's beta is monomial and bijective: counting the rows
+    # it hits decides it, with no elimination
+    chain = RelativeChain(_twisted_z3x3())
+    chain.space(1)
+    _forbid_echelon_add(monkeypatch)
+    assert is_galois(chain.algebra, chain) == GaloisReport(True, 81, 81, 81)
+    monkeypatch.undo()
+    # a beta with a two-entry column is eliminated once by columns, and
+    # once more by rows for a kernel witness
+    adds = []
+    add = Echelon.add
+
+    def counting_add(self, row):
+        adds.append(row)
+        return add(self, row)
+
+    for A, galois_, rows in [(_quotient_graded_in_a_cyclotomic_basis(), True, 0),
+                             (_triangular(_truncated_poly_over_z2(6),
+                                          _RATIONAL_POOL), False, 1)]:
+        chain = RelativeChain(A)
+        assert not canonical_map(A, chain).is_monomial()
+        monkeypatch.setattr(Echelon, "add", counting_add)
+        report = is_galois(A, chain=chain)
+        monkeypatch.undo()
+        assert report.galois == galois_
+        assert len(adds) == report.domain_dim + rows * report.codomain_dim
+        adds.clear()
+
+
 def test_group_algebra_over_itself_is_galois():
     for torsion in ((2,), (4,), (2, 2)):
         report = is_galois(build_group_algebra(GradingGroup(0, torsion)))
@@ -739,22 +780,178 @@ def test_a_space_is_reduced_only_when_something_projects_onto_it(
      "quotient-graded-kZ6-over-Z3.json", 18)], ids=["twisted-z2", "kZ6-over-Z3"])
 def test_a_step_that_is_not_constant_on_a_relation_is_never_hidden(
         make, filename, relation_rank, monkeypatch):
-    # T_1 also lists the row u_e (x) u_e, which the step sends to the
-    # nonzero u_e (x) e: the check raises where T_1 is built, also where
-    # the planted row is reduced against balanced relations
+    # every elimination of T_1, the whole space of a twisted algebra or each
+    # summand of kZ6/Z3, lists the row u (x) u at its first local position
+    # in place of its last relation, which the step sends to the nonzero
+    # u*u (x) |u|: the check raises where T_1 is built, also where the
+    # planted row is reduced against balanced relations
     A = make()
     assert RelativeChain(A).space(1).relation_rank == relation_rank
-    init = QuotientSpace.__init__
+    forward = galois._forward_rows
 
-    def planted(self, ambient_dim, relation_rows):
-        init(self, ambient_dim, relation_rows + [{0: Scalar.one()}])
+    def planted(rows):
+        return forward([*rows[:-1], {0: Scalar.one()}])
 
-    monkeypatch.setattr(QuotientSpace, "__init__", planted)
+    monkeypatch.setattr(galois, "_forward_rows", planted)
     with pytest.raises(InternalConsistencyError, match="step 1 "):
         is_galois(A)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     with pytest.raises(InternalConsistencyError, match="step 1 "):
         main(["check", str(corpus / filename)])
+
+
+def test_a_step_is_checked_on_the_rows_of_a_reused_summand():
+    # T_2 places echelon rows that T_1's summands left in the chain; a
+    # non-relation row planted in them after T_1 is built must still raise
+    A = _kz6_over_z2_in_a_dense_basis()
+    RelativeChain(A).space(2)  # unplanted, the same chain builds cleanly
+    chain = RelativeChain(A)
+    chain.space(1)
+    for entry in chain._eliminated.values():
+        pivots = {p for _, p, _ in entry}
+        free = next(a for a in itertools.count() if a not in pivots)
+        entry.append((entry[-1][0], free, {free: Scalar.one()}))
+    with pytest.raises(InternalConsistencyError, match="step 2 "):
+        chain.space(2)
+
+
+# -- summands of a relative tensor power -------------------------------------
+
+class _WholeSpaceChain(RelativeChain):
+    """The reference chain: T_k is one quotient of its whole ambient space
+    by the balanced relation rows in whole-space order (class c of
+    T_(k-1), then generator x, then y), eliminated at once."""
+
+    def space(self, k):
+        if k not in self._spaces:
+            space = QuotientSpace(_ambient_dim(self, k), _whole_space_rows(self, k))
+            self._verify_step(k, space)
+            self._spaces[k] = space
+        return self._spaces[k]
+
+
+def _ambient_dim(chain, k):
+    dim = chain.algebra.dim
+    return (dim if k == 1 else chain.space(k - 1).dim) * dim
+
+
+def _whole_space_rows(chain, k):
+    A, dim = chain.algebra, chain.algebra.dim
+    rows = []
+    for c in range(_ambient_dim(chain, k) // dim):
+        for x in chain.generators:
+            cx = chain.right_action(k - 1, c, x)
+            for y in range(dim):
+                row = {t * dim + y: -coeff for t, coeff in cx.items()}
+                for m, coeff in A.product_coords(x, y).items():
+                    vec_add_at(row, c * dim + m, coeff)
+                rows.append(row)
+    return rows
+
+
+def _triangular(A, pool):
+    """A after the change of basis a -> a + sum of s*b over the later basis
+    vectors b of a's component, s drawn from pool in turn."""
+    new = []
+    for a in range(A.dim):
+        later = [b for b in A.component(A.grade(a)) if b > a]
+        new.append({a: Scalar.one(), **{b: pool[(a + b) % len(pool)] for b in later}})
+    return _in_basis(A, new)
+
+
+_RATIONAL_POOL = [Scalar.from_rational(2), Scalar.from_rational(-1),
+                  Scalar.from_rational(Fraction(1, 3))]
+_ZETA4_POOL = [root_of_unity(4), Scalar.cyclotomic(4, [1, 2]), Scalar.from_rational(-3)]
+
+
+def _triangular_inputs():
+    return [_triangular(_quotient_graded_group_algebra(6, 2), _RATIONAL_POOL),
+            _triangular(_quotient_graded_group_algebra(6, 2), _ZETA4_POOL),
+            _triangular(_truncated_poly_over_z2(6), _RATIONAL_POOL)]
+
+
+def _stored_rows(rows):
+    return [(p, _stored(r)) for p, r in rows.items()]
+
+
+def _assert_summands_match_the_whole_space(A, max_ambient=1500):
+    block, whole = RelativeChain(A), _WholeSpaceChain(A)
+    kmax = 0
+    while kmax < 3 and _ambient_dim(whole, kmax + 1) <= max_ambient:
+        kmax += 1
+        # nothing has projected onto T_kmax yet on either side
+        space, reference = block.space(kmax), whole.space(kmax)
+        forward = echelon(reference.relations).pivot_rows
+        assert _stored_rows(space._pivot_rows) == _stored_rows(forward), (A.name, kmax)
+        assert _stored_rows(reference._pivot_rows) == _stored_rows(forward)
+        assert space.relation_rank == reference.relation_rank == len(forward)
+        assert space.basis_ambient == reference.basis_ambient
+        assert [_stored(r) for r in space.relations] == \
+            [_stored(r) for r in reference.relations]
+    for k in range(1, kmax + 1):
+        units = [{a: Scalar.one()} for a in range(block.space(k).ambient_dim)]
+        assert [_stored(block.space(k).project(u)) for u in units] == \
+            [_stored(whole.space(k).project(u)) for u in units], (A.name, k)
+    for n in range(1, kmax + 1):
+        assert [_stored(c) for c in beta_n(A, n, chain=block).columns] == \
+            [_stored(c) for c in beta_n(A, n, chain=whole).columns], (A.name, n)
+    return kmax
+
+
+def test_a_space_built_by_summands_equals_the_whole_space_echelon(corpus):
+    # forward rows in stored form and insertion order, basis, rank and
+    # relations before any projection; then every unit vector's class and
+    # beta^1..beta^3 columns in stored form
+    depths = [_assert_summands_match_the_whole_space(e.algebra) for e in corpus]
+    assert max(depths) == 3 and min(depths) >= 1
+    for A in _triangular_inputs():
+        assert _assert_summands_match_the_whole_space(A) == 3
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    forward = galois._forward_rows
+
+    def counting(rows):
+        calls.append(len(rows))
+        return forward(rows)
+
+    monkeypatch.setattr(galois, "_forward_rows", counting)
+    return calls
+
+
+def test_a_repeated_summand_is_eliminated_once_per_chain(monkeypatch):
+    A = _kz6_over_z2_in_a_dense_basis()
+    chain = RelativeChain(A)
+    chain.space(1)
+    calls = _counting_eliminations(monkeypatch)
+    chain.space(2)
+    # T_2's summands: one per slot-grade pair (g, h) of T_1's classes and
+    # per grade of the last slot
+    slots = {(chain.grade_pos[a // A.dim], chain.grade_pos[a % A.dim])
+             for a in chain.space(1).basis_ambient}
+    summands = len(slots) * len(set(chain.grade_pos))
+    assert summands == 8
+    assert len(calls) < summands  # here every one repeats a summand of T_1
+    # the kept rows die with the chain: a second one eliminates as often
+    per_chain = []
+    for _ in range(2):
+        calls.clear()
+        beta_n(A, 3, chain=RelativeChain(A))
+        per_chain.append(len(calls))
+    assert per_chain[0] == per_chain[1] > 0
+
+
+def test_a_twisted_group_algebra_forms_no_summand(monkeypatch):
+    def forbidden(self, k):
+        raise AssertionError("a summand or slot tuple was formed")
+
+    monkeypatch.setattr(RelativeChain, "_summand_echelon", forbidden)
+    monkeypatch.setattr(RelativeChain, "_slots", forbidden)
+    calls = _counting_eliminations(monkeypatch)
+    chain = RelativeChain(_twisted_z3x3())
+    assert beta_n(chain.algebra, 3, chain=chain).is_bijective()
+    assert chain._eliminated == {} and calls == [0, 0, 0]
 
 
 def _twisted_z4x4():

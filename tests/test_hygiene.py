@@ -9,8 +9,9 @@ case, no product is built only to be
 accumulated, only the commutation module takes powers of
 commutation-factor values, the law checks enumerate no group, the
 order up to which they run on the whole group is written only in the
-group module, the algebra side does not import the Hopf module and only
-scalars and group elements define arithmetic operators."""
+group module, the algebra side does not import the Hopf module, only
+scalars and group elements define arithmetic operators, and the Galois
+and linear-algebra modules hold no module-level mutable state."""
 
 import ast
 import re
@@ -228,3 +229,28 @@ def test_only_scalars_and_group_elements_define_arithmetic_operators():
                if name not in ("scalars.py", "groups.py") for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name in dunders]
     assert defined == []
+
+
+def test_the_galois_and_linear_algebra_modules_keep_no_state_between_calls():
+    # an elimination or product cache lives on a chain or in one call, so
+    # nothing outlives a beta_n or is_galois call: no dict, list or set bound
+    # at module scope, no global statement and no functools cache
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    builders = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+    def mutable(node):
+        return isinstance(node, containers) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in builders)
+
+    state = []
+    for name in ("galois.py", "linalg.py"):
+        tree = TREES[name]
+        state += [f"{name}:{stmt.lineno}" for stmt in tree.body
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                  and stmt.value is not None and mutable(stmt.value)]
+        state += [f"{name}:{node.lineno}: global" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        state += [f"{name}:{node.lineno}: {ref}" for ref, node in _references(tree)
+                  if ref in ("functools", "lru_cache", "cache")]
+    assert state == []
