@@ -129,7 +129,10 @@ class GradedAlgebra:
                 table = products.get(pair_of(m))
                 if table:
                     for kk, x in table.items():
-                        vec_add_at(out, kk, mul(c, x))
+                        if kk in out:
+                            vec_add_at(out, kk, c, x)
+                        else:
+                            out[kk] = mul(c, x)
             return out
 
         def nonassociative(ks):

@@ -359,7 +359,9 @@ def beta_n(algebra: GradedAlgebra, n: int,
     Levels below n keep every ambient position, level n its classes.  A
     level walks the class c of T_(k-1) outer and m inner, in ambient order,
     reading grade(m)'s index and mm*m's terms from rows[mm][m]; each distinct
-    product of two stored values is formed once per call.
+    product of two stored values is formed once per call.  A column's first
+    term at a position is stored as that product, nonzero as both factors
+    are; a later term there is accumulated from its factors.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -387,7 +389,11 @@ def beta_n(algebra: GradedAlgebra, n: int,
                 col: Vec = {}
                 for y, cy in terms:
                     for p, x in prev_images[base + y].items():
-                        vec_add_at(col, p * nG + g, mul(cy, x))
+                        q = p * nG + g
+                        if q in col:
+                            vec_add_at(col, q, cy, x)
+                        else:
+                            col[q] = mul(cy, x)
                 images.append(col)
         prev = space.basis_ambient
     return LinearMap(dim * nG ** n, images)

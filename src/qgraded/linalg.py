@@ -7,12 +7,12 @@ the dict it is given, and that dict must belong to the caller
 (`vec_add_scaled` likewise mutates and returns `dst`, never `src`).  A
 caller passes a product's factors, so that an update to an existing entry
 is one `Scalar.add_product`: one normalisation and one new object whenever
-the fields allow.  The one exception is a loop whose factors repeat: it
-passes whole the products of a `scalars.product_memo` made for that loop,
-since a hit costs no multiplication and prev + product stores what
-add_product stores.  A caller negates a scale once per scaled vector, never
-once per entry.  The primitive takes any hashable key, so other modules use
-it for tuple- and group-keyed tensors too.
+the fields allow.  A loop whose factors repeat stores a key's first term
+directly, as the product from a `scalars.product_memo` made for that loop
+(nonzero, as both factors are), and passes each later term as factors.  A
+caller negates a scale once per scaled vector, never once per entry.  The
+primitive takes any hashable key, so other modules use it for tuple- and
+group-keyed tensors too.
 
 Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a

@@ -393,10 +393,16 @@ _ONE = Scalar(1, (1,), 1)
 def product_memo():
     """A function (a, b) -> a * b that forms each product once, keyed by the
     stored forms of a and b, never by value (zeta_8 * zeta_8 equals zeta_4 but
-    is stored at order 8); make one per loop and drop it with the loop."""
+    is stored at order 8); make one per loop and drop it with the loop.  A
+    unit operand (stored as 1/1) returns the other operand itself, as `*`
+    does, and builds no key."""
     memo: dict[tuple, Scalar] = {}
 
     def mul(a: Scalar, b: Scalar) -> Scalar:
+        if b.den == 1 and b.nums == (1,):
+            return a
+        if a.den == 1 and a.nums == (1,):
+            return b
         key = (a.order, a.nums, a.den, b.order, b.nums, b.den)
         value = memo.get(key)
         if value is None:

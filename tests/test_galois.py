@@ -671,14 +671,19 @@ def test_beta_n_is_the_product_along_the_tuple_with_suffix_grades(name, n):
     # the class of a_(i_0) (x) ... (x) a_(i_n) maps to the product
     # e_(i_0)...e_(i_n) at i*|G|^n + sum_r idx(g_(i_r) + ... + g_(i_n))*|G|^(n-r)
     A = _SUFFIX_GRADE_CASES[name][0]()
-    G, nG = A.group, A.group.order
     chain = RelativeChain(A)
     columns = beta_n(A, n, chain=chain).columns
     assert len(columns) == chain.space(n).dim
     if name == "kZ6/Z2-dense":
         assert all(chain.space(k).dim < chain.space(k).ambient_dim
                    for k in range(1, n + 1))
-    for q, col in enumerate(columns):
+    assert columns == _closed_form_columns(A, n, chain)
+
+
+def _closed_form_columns(A, n, chain):
+    G, nG = A.group, A.group.order
+    columns = []
+    for q in range(chain.space(n).dim):
         path = [q]
         for k in range(n, 0, -1):  # a class of T_k is (class of T_(k-1), slot k)
             path[:1] = divmod(chain.space(k).basis_ambient[path[0]], A.dim)
@@ -689,7 +694,8 @@ def test_beta_n_is_the_product_along_the_tuple_with_suffix_grades(name, n):
         for r in range(n, 0, -1):
             suffix = A.grade(path[r]) + suffix
             offset += G.index(suffix.coords) * nG ** (n - r)
-        assert col == {i * nG ** n + offset: c for i, c in product.items()}
+        columns.append({i * nG ** n + offset: c for i, c in product.items()})
+    return columns
 
 
 @pytest.mark.parametrize("make", [
@@ -1005,6 +1011,49 @@ def test_beta_n_forms_each_product_once_per_call(monkeypatch):
     first = len(calls)
     beta_n(A, 3, chain=chain)
     assert 0 < first <= 48 and len(calls) == 2 * first
+
+
+def _counting_vec_add_at(monkeypatch):
+    calls = []
+
+    def counting(dst, key, a, b=None):
+        calls.append(key in dst)
+        vec_add_at(dst, key, a, b)
+
+    monkeypatch.setattr(galois, "vec_add_at", counting)
+    return calls
+
+
+def test_a_monomial_beta_n_writes_each_entry_once(monkeypatch):
+    # every column of a twisted Z_4 x Z_4's beta^3 holds one term, stored
+    # by a plain dict write with no accumulation
+    A = _twisted_z4x4()
+    chain = RelativeChain(A)
+    expected = beta_n(A, 3, chain=chain).columns  # builds T_1..T_3
+    calls = _counting_vec_add_at(monkeypatch)
+    assert beta_n(A, 3, chain=chain).columns == expected
+    assert calls == []
+
+
+def test_a_repeated_position_accumulates_from_its_factors(monkeypatch):
+    # the dense basis of kZ_6/Z_2 sends several terms of a column to one
+    # position; only those later terms reach vec_add_at, and the columns
+    # are still the closed form's
+    A = _kz6_over_z2_in_a_dense_basis()
+    chain = RelativeChain(A)
+    beta_n(A, 2, chain=chain)  # builds T_1 and T_2
+    calls = _counting_vec_add_at(monkeypatch)
+    columns = beta_n(A, 2, chain=chain).columns
+    assert calls and all(calls)
+    assert columns == _closed_form_columns(A, 2, chain)
+
+
+def test_no_corpus_beta_column_stores_a_zero(corpus):
+    for entry in corpus:
+        chain = RelativeChain(entry.algebra)
+        for n in (1, 2, 3):
+            for col in beta_n(entry.algebra, n, chain=chain).columns:
+                assert not any(v.is_zero() for v in col.values()), entry.name
 
 
 # sha256 over the beta^1..beta^3 columns of standard_corpus() in insertion

@@ -156,20 +156,31 @@ def test_grading_groups_have_one_case():
     assert reads == []
 
 
+def _called(node, names) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names)
+
+
 def test_no_product_is_built_only_to_be_accumulated():
     # vec_add_at(dst, key, a, b) adds a*b with one normalisation; passing it
-    # a finished product (c * x, or -(c * x)) normalises every entry twice
-    def product(node):
+    # a finished product (c * x, -(c * x), or mul(c, x) for a mul made by
+    # product_memo()) normalises every entry twice
+    def product(node, memos):
         while isinstance(node, ast.UnaryOp):
             node = node.operand
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                or _called(node, memos))
 
-    built = [f"{name}:{node.lineno}" for name, tree in TREES.items()
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id == "vec_add_at"
-             and any(product(arg) for arg in
-                     node.args[2:] + [kw.value for kw in node.keywords])]
+    built = []
+    for name, tree in TREES.items():
+        memos = {target.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and _called(node.value, {"product_memo"})
+                 for target in node.targets if isinstance(target, ast.Name)}
+        built += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if _called(node, {"vec_add_at"})
+                  and any(product(arg, memos) for arg in
+                          node.args[2:] + [kw.value for kw in node.keywords])]
     assert built == []
 
 

@@ -453,6 +453,21 @@ def test_a_product_memo_returns_each_product_in_its_stored_form():
     assert (mul(z8_squared, z3).order, mul(z4, z3).order) == (24, 12)
 
 
+def test_a_product_memo_passes_a_unit_factor_through():
+    # a unit on either side returns the other operand object itself, not a
+    # memoised equal one, in its stored form: zeta_8^2 stays at order 8
+    # although it equals zeta_4
+    one, stored_one = Scalar.one(), Scalar.from_rational(1)
+    mul = product_memo()
+    for make in (lambda: root_of_unity(8) ** 2, lambda: Scalar.from_rational(Fraction(1, 2)),
+                 lambda: root_of_unity(3), lambda: Scalar.from_rational(-1)):
+        for a in (make(), make()):
+            assert mul(a, one) is a and mul(one, a) is a
+            assert mul(a, stored_one) is a and mul(stored_one, a) is a
+    z8_squared = root_of_unity(8) ** 2
+    assert mul(z8_squared, one).order == mul(one, z8_squared).order == 8
+
+
 def test_a_product_that_folds_to_a_rational_keeps_the_sum_in_its_field():
     # zeta_4 * zeta_4^3 = 1, so the sum stays in Q(zeta_3), not Q(zeta_12)
     z3 = root_of_unity(3)
