@@ -358,10 +358,16 @@ def beta_n(algebra: GradedAlgebra, n: int,
     it was built, so an ambient vector and its projection have one image.
     Levels below n keep every ambient position, level n its classes.  A
     level walks the class c of T_(k-1) outer and m inner, in ambient order,
-    reading grade(m)'s index and mm*m's terms from rows[mm][m]; each distinct
-    product of two stored values is formed once per call.  A column's first
-    term at a position is stored as that product, nonzero as both factors
-    are; a later term there is accumulated from its factors.
+    reading grade(m)'s index and mm*m's terms from rows[mm][m] and the
+    previous level's images from one list of (position, value) pairs per
+    ambient position, built once per level from its flat lists; each
+    distinct product of two stored values is formed once per call.  A
+    column with one term is appended to the flat lists directly: it is one
+    earlier image moved by one grade, so its positions are distinct, and
+    each value is a product of two nonzero scalars.  Any other column is
+    accumulated in a dict, a position's first term stored as that product
+    and a later term there from its factors, and then appended.  Either
+    way a column keeps the plain accumulation's entry order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -374,29 +380,42 @@ def beta_n(algebra: GradedAlgebra, n: int,
     mul = product_memo()
     rows = [[(chain.grade_pos[m], tuple(algebra.product_coords(mm, m).items()))
              for m in range(dim)] for mm in range(dim)]
-    images: list[Vec] = [{i: Scalar.one()} for i in range(dim)]
+    # beta^0, the identity, flat
+    positions, values = list(range(dim)), [Scalar.one()] * dim
+    starts = list(range(dim + 1))
     prev = range(dim)  # ambient position of each class of T_(k-1)
     for k in range(1, n + 1):
         space = chain.space(k)
         kept = space.basis_ambient if k == n else range(space.ambient_dim)
-        prev_images, images, hi = images, [], 0
+        # images[a]: the (position, value) pairs of beta^(k-1)'s column a
+        pairs = list(zip(positions, values))
+        images = [pairs[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        positions, values, starts, hi = [], [], [0], 0
         for c, a in enumerate(prev):
             cc, mm = divmod(a, dim)
             lo, hi = hi, bisect_left(kept, (c + 1) * dim, hi)
             base, row, cdim = cc * dim, rows[mm], c * dim
             for amb in kept[lo:hi]:
                 g, terms = row[amb - cdim]
-                col: Vec = {}
-                for y, cy in terms:
-                    for p, x in prev_images[base + y].items():
-                        q = p * nG + g
-                        if q in col:
-                            vec_add_at(col, q, cy, x)
-                        else:
-                            col[q] = mul(cy, x)
-                images.append(col)
+                if len(terms) == 1:
+                    (y, cy), = terms
+                    for p, x in images[base + y]:
+                        positions.append(p * nG + g)
+                        values.append(mul(cy, x))
+                else:
+                    col: Vec = {}
+                    for y, cy in terms:
+                        for p, x in images[base + y]:
+                            q = p * nG + g
+                            if q in col:
+                                vec_add_at(col, q, cy, x)
+                            else:
+                                col[q] = mul(cy, x)
+                    positions += col
+                    values += col.values()
+                starts.append(len(positions))
         prev = space.basis_ambient
-    return LinearMap(dim * nG ** n, images)
+    return LinearMap(dim * nG ** n, positions, values, starts)
 
 
 @dataclass

@@ -18,14 +18,17 @@ Elimination keeps a forward echelon (each pivot row normalized, leading
 at its pivot), which decides rank and span membership incrementally; a
 single backward pass (`finalize`, through `rref`) upgrades it to the unique
 fully reduced form for a kernel or at a quotient's first projection.
-Pivots are the smallest columns, so every result is deterministic.  A map
-whose columns each hold at most one entry (a monomial map) is ranked
-without elimination: columns on one row are parallel and columns on
-different rows independent, so its rank is the number of distinct rows hit.
+Pivots are the smallest columns, so every result is deterministic.  A
+`LinearMap` is stored flat, so building one makes no dict per column;
+`columns` is a view built when first read.  A map whose columns each hold
+at most one entry (a monomial map) is ranked from the flat lists, without
+elimination: columns on one row are parallel and columns on different
+rows independent, so its rank is the number of distinct rows hit.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Hashable, Iterable
 
 from .scalars import Scalar
@@ -153,15 +156,32 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
 
 
 class LinearMap:
-    """Exact linear map k^domain_dim -> k^codomain_dim by its sparse columns."""
+    """Exact linear map k^domain_dim -> k^codomain_dim in compressed-column
+    form: column j's entries are positions[starts[j]:starts[j+1]] with the
+    values at the same indices, each position at most once and no value
+    zero.  A builder appends a column it knows to be such (a single term's
+    entries) directly, any other after accumulating it in a dict.
+    `columns`, one Vec per column in entry order, is built on first read
+    and then kept."""
 
-    def __init__(self, codomain_dim: int, columns: list[Vec]):
+    def __init__(self, codomain_dim: int, positions: list[int],
+                 values: list[Scalar], starts: list[int]):
         self.codomain_dim = codomain_dim
-        self.columns = columns
+        self.positions = positions
+        self.values = values
+        self.starts = starts
+        self._columns: list[Vec] | None = None
 
     @property
     def domain_dim(self) -> int:
-        return len(self.columns)
+        return len(self.starts) - 1
+
+    @property
+    def columns(self) -> list[Vec]:
+        if self._columns is None:
+            pairs, st = list(zip(self.positions, self.values)), self.starts
+            self._columns = [dict(pairs[a:b]) for a, b in zip(st, st[1:])]
+        return self._columns
 
     def rows(self) -> list[Vec]:
         out: list[Vec] = [{} for _ in range(self.codomain_dim)]
@@ -172,14 +192,14 @@ class LinearMap:
 
     def is_monomial(self) -> bool:
         """Whether every column holds at most one entry."""
-        return max(map(len, self.columns), default=0) <= 1
+        return max(map(sub, self.starts[1:], self.starts), default=0) <= 1
 
     def rank(self) -> int:
         """A monomial map has rank the number of distinct rows its columns
         hit; any other is eliminated."""
         if not self.is_monomial():
             return self.image_echelon().rank
-        return len(set().union(*self.columns))
+        return len(set(self.positions))
 
     def kernel(self) -> list[Vec]:
         return kernel_basis(self.rows(), self.domain_dim)

@@ -26,7 +26,8 @@ from qgraded.galois import (GaloisReport, QuotientSpace, RelativeChain,
                             beta_n, canonical_map, check_equivalence_theorem,
                             is_galois)
 from qgraded.groups import GradingGroup
-from qgraded.linalg import Echelon, echelon, rref, vec_add_at, vec_add_scaled
+from qgraded.linalg import (Echelon, LinearMap, echelon, rref, vec_add_at,
+                            vec_add_scaled)
 from qgraded.scalars import Scalar, root_of_unity
 
 
@@ -1033,6 +1034,18 @@ def test_a_monomial_beta_n_writes_each_entry_once(monkeypatch):
     calls = _counting_vec_add_at(monkeypatch)
     assert beta_n(A, 3, chain=chain).columns == expected
     assert calls == []
+
+
+def test_a_monomial_beta_n_is_decided_without_its_column_dicts(monkeypatch):
+    # a monomial map's bijectivity is a row count over its flat lists
+    reads = []
+    columns = LinearMap.columns
+    monkeypatch.setattr(LinearMap, "columns", property(
+        lambda bmap: reads.append(bmap) or columns.fget(bmap)))
+    A = _twisted_z4x4()
+    assert beta_n(A, 3, chain=RelativeChain(A)).is_bijective()
+    assert is_galois(A).galois
+    assert reads == []
 
 
 def test_a_repeated_position_accumulates_from_its_factors(monkeypatch):

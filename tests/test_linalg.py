@@ -179,10 +179,20 @@ def test_rank_over_cyclotomic_fields_agrees_with_dense_elimination(dense):
                                                                 len(dense[0]))
 
 
+def _linear_map(codomain_dim, columns):
+    """The map with the given dict columns, flattened to its stored form."""
+    positions = [i for col in columns for i in col]
+    values = [x for col in columns for x in col.values()]
+    starts = [0]
+    for col in columns:
+        starts.append(starts[-1] + len(col))
+    return LinearMap(codomain_dim, positions, values, starts)
+
+
 def test_linear_map_bijectivity():
-    good = LinearMap(2, [vec(c1=1), vec(c0=2)])
+    good = _linear_map(2, [vec(c1=1), vec(c0=2)])
     assert good.is_bijective()
-    bad = LinearMap(2, [vec(c0=1), vec(c0=2)])
+    bad = _linear_map(2, [vec(c0=1), vec(c0=2)])
     assert not bad.is_bijective()
     assert bad.rank() == 1
     kernel = bad.kernel()
@@ -200,7 +210,7 @@ def _monomial_map(rng):
     columns = [{} if rng.random() < 0.2 else
                {rng.randrange(rows): rng.choice(values)}
                for _ in range(rng.randint(0, 10))]
-    return LinearMap(rows, columns)
+    return _linear_map(rows, columns)
 
 
 def test_rank_of_a_monomial_map_counts_the_rows_it_hits():
@@ -224,11 +234,22 @@ def test_rank_counts_without_elimination_only_on_monomial_maps(monkeypatch):
 
     monkeypatch.setattr(Echelon, "add", counting)
     z3 = root_of_unity(3)
-    assert LinearMap(3, [{2: z3}, {0: s(2)}, {2: s(1)}, {}]).rank() == 2
+    assert _linear_map(3, [{2: z3}, {0: s(2)}, {2: s(1)}, {}]).rank() == 2
     assert adds == []
     # one two-entry column: three rows are hit, but the rank is 2
-    assert LinearMap(3, [{0: s(1), 1: z3}, {2: z3}, {2: s(1)}]).rank() == 2
+    assert _linear_map(3, [{0: s(1), 1: z3}, {2: z3}, {2: s(1)}]).rank() == 2
     assert len(adds) == 3
+
+
+def test_columns_are_the_dicts_a_map_was_built_from():
+    z4 = root_of_unity(4)
+    columns = [{2: s(3)}, {}, {4: z4, 0: s(-1)}, {1: s(1)}]
+    bmap = _linear_map(5, columns)
+    assert (bmap.positions, bmap.starts) == ([2, 4, 0, 1], [0, 1, 1, 3, 4])
+    assert bmap.domain_dim == 4 and not bmap.is_monomial()
+    assert bmap.columns == columns
+    assert [list(col) for col in bmap.columns] == [[2], [], [4, 0], [1]]
+    assert bmap.columns is bmap.columns  # built once, then kept
 
 
 def test_vec_add_scaled_drops_zeros():

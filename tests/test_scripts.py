@@ -26,19 +26,21 @@ def test_equivalence_suite_reports_a_non_bijective_iterate(monkeypatch, capsys):
                         lambda: [CorpusEntry("group-algebra-z2", A, None, True)])
     beta_n = suite.beta_n
 
-    def empty_first_column(columns):
-        columns[0] = {}
+    def empty_first_column(bmap):
+        width = bmap.starts[1]
+        del bmap.positions[:width], bmap.values[:width]
+        bmap.starts[1:] = [start - width for start in bmap.starts[1:]]
 
-    def first_two_columns_on_one_row(columns):
+    def first_two_columns_on_one_row(bmap):
         # still monomial, so the rank is counted, not eliminated
-        (row, x), = columns[0].items()
-        columns[1] = {row: x + x}
+        assert bmap.starts[:3] == [0, 1, 2]
+        bmap.positions[1] = bmap.positions[0]
 
     for breaks in (empty_first_column, first_two_columns_on_one_row):
         def broken_beta_n(algebra, n, **kw):
             bmap = beta_n(algebra, n, **kw)
             if n == 2:
-                breaks(bmap.columns)
+                breaks(bmap)
             return bmap
 
         monkeypatch.setattr(suite, "beta_n", broken_beta_n)
